@@ -125,6 +125,10 @@ if [ "$SERVE" = 1 ]; then
     echo "{\"schema\":\"dynawave-serve\",\"v\":1,\"id\":\"c1\",\"kind\":\"predict\",\"benchmark\":\"gcc\",\"metric\":\"cpi\",\"points\":[$P1,$P2]}"
     echo "not json at all"
     echo "{\"schema\":\"dynawave-serve\",\"v\":1,\"id\":\"c2\",\"kind\":\"sweep\",\"benchmark\":\"gcc\",\"metric\":\"cpi\",\"base\":$P1,\"axis\":0,\"values\":[2,4,8]}"
+    # gcc's power and avf models train from the training sets stashed by
+    # the cpi miss above, so the byte-identity gates cover that path too.
+    echo "{\"schema\":\"dynawave-serve\",\"v\":1,\"id\":\"c4\",\"kind\":\"predict\",\"benchmark\":\"gcc\",\"metric\":\"power\",\"points\":[$P1]}"
+    echo "{\"schema\":\"dynawave-serve\",\"v\":1,\"id\":\"c5\",\"kind\":\"predict\",\"benchmark\":\"gcc\",\"metric\":\"avf\",\"points\":[$P2]}"
     echo "{\"schema\":\"dynawave-serve\",\"v\":1,\"id\":\"c-stats\",\"kind\":\"stats\"}"
     echo "{\"schema\":\"dynawave-serve\",\"v\":1,\"id\":\"c3\",\"kind\":\"predict\",\"benchmark\":\"nope\"}"
   } > "$CI_TMP/serve_requests.jsonl"

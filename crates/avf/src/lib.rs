@@ -124,6 +124,15 @@ impl AvfModel {
             .collect()
     }
 
+    /// Combined AVF trace ([`AvfReport::combined`]): one value per
+    /// interval of `run`, a run of `config` (the Figure 8c metric).
+    pub fn combined_trace(&self, run: &RunResult, config: &MachineConfig) -> Vec<f64> {
+        run.intervals
+            .iter()
+            .map(|s| self.interval_report(s).combined(config))
+            .collect()
+    }
+
     /// Issue-queue AVF trace (the §5 case-study metric).
     pub fn iq_avf_trace(&self, run: &RunResult) -> Vec<f64> {
         self.avf_trace(run, Structure::IssueQueue)
@@ -208,6 +217,22 @@ mod tests {
         let lo = trace.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = trace.iter().cloned().fold(0.0f64, f64::max);
         assert!(hi > lo, "flat AVF trace");
+    }
+
+    #[test]
+    fn combined_trace_lies_between_its_structures() {
+        let cfg = MachineConfig::baseline();
+        let model = AvfModel::new(&cfg);
+        let r = run(&cfg, Benchmark::Mcf);
+        let combined = model.combined_trace(&r, &cfg);
+        assert_eq!(combined.len(), r.intervals.len());
+        for (v, s) in combined.iter().zip(&r.intervals) {
+            let parts = [Structure::IssueQueue, Structure::Rob, Structure::Lsq]
+                .map(|st| model.interval_avf(s, st));
+            let lo = parts.iter().cloned().fold(f64::INFINITY, f64::min);
+            let hi = parts.iter().cloned().fold(0.0f64, f64::max);
+            assert!((lo..=hi).contains(v), "{v} outside [{lo}, {hi}]");
+        }
     }
 
     #[test]

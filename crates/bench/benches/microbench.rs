@@ -287,6 +287,19 @@ fn bench_serve(h: &Harness) {
          \"points\":[{}]}}",
         pts.join(",")
     );
+    // The cold start of one benchmark: a fresh engine answering cpi,
+    // power and avf for gcc, three model misses served by one
+    // simulation of the training design.
+    let domains: Vec<String> = ["cpi", "power", "avf"]
+        .iter()
+        .map(|m| request.replace("\"metric\":\"cpi\"", &format!("\"metric\":\"{m}\"")))
+        .collect();
+    h.bench("serve/cold_start/domains", 3, || {
+        let mut engine = ServeEngine::new(config.clone());
+        for line in &domains {
+            black_box(engine.handle_line(line));
+        }
+    });
     // Warm the model cache so the lines below measure steady-state
     // request handling, not one-off lazy training.
     let mut engine = ServeEngine::new(config);

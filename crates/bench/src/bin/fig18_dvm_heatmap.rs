@@ -4,7 +4,7 @@
 
 use dynawave_bench::{fmt, start};
 use dynawave_core::cluster::hierarchical_cluster;
-use dynawave_core::{collect_traces, Metric, WaveletNeuralPredictor};
+use dynawave_core::{collect_metric_traces, Metric, WaveletNeuralPredictor};
 use dynawave_numeric::stats::nmse_percent;
 use dynawave_sampling::DesignPoint;
 use dynawave_workloads::Benchmark;
@@ -36,13 +36,15 @@ fn main() {
     let train_design = cfg.train_design();
     let test_design = force_dvm(&cfg.test_design());
 
-    for metric in [Metric::IqAvf, Metric::Power] {
-        let mut rows: Vec<Vec<f64>> = Vec::new();
-        for bench in Benchmark::ALL {
-            eprintln!("simulating {bench} / {metric} ...");
-            let train = collect_traces(bench, &train_design, metric, &opts);
-            let model = WaveletNeuralPredictor::train(&train, &cfg.predictor).expect("training");
-            let test = collect_traces(bench, &test_design, metric, &opts);
+    // One simulation per (benchmark, point) yields both metrics' traces.
+    let metrics = [Metric::IqAvf, Metric::Power];
+    let mut rows: [Vec<Vec<f64>>; 2] = Default::default();
+    for bench in Benchmark::ALL {
+        eprintln!("simulating {bench} ...");
+        let train = collect_metric_traces(bench, &train_design, &metrics, &opts);
+        let test = collect_metric_traces(bench, &test_design, &metrics, &opts);
+        for ((train, test), rows) in train.iter().zip(&test).zip(&mut rows) {
+            let model = WaveletNeuralPredictor::train(train, &cfg.predictor).expect("training");
             rows.push(
                 test.traces
                     .iter()
@@ -51,6 +53,9 @@ fn main() {
                     .collect(),
             );
         }
+    }
+
+    for (metric, rows) in metrics.into_iter().zip(rows) {
         let dendro = hierarchical_cluster(&rows);
         let max = rows
             .iter()

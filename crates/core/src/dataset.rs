@@ -3,7 +3,7 @@
 use dynawave_avf::{AvfModel, Structure};
 use dynawave_power::PowerModel;
 use dynawave_sampling::DesignPoint;
-use dynawave_sim::{MachineConfig, SimOptions, Simulator};
+use dynawave_sim::{MachineConfig, RunResult, SimOptions, Simulator};
 use dynawave_workloads::Benchmark;
 
 /// Which workload-dynamics metric a trace measures.
@@ -75,18 +75,36 @@ impl TraceSet {
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
+
+    /// A set over `points` whose traces are still to be simulated.
+    fn unfilled(benchmark: Benchmark, metric: Metric, points: &[DesignPoint]) -> Self {
+        TraceSet {
+            benchmark,
+            metric,
+            points: points.to_vec(),
+            traces: Vec::with_capacity(points.len()),
+        }
+    }
 }
 
-/// Simulates one design point and extracts the dynamics trace for
-/// `metric`.
+/// The dynamics trace for `metric` from one run of `config`.
+fn metric_trace(run: &RunResult, config: &MachineConfig, metric: Metric) -> Vec<f64> {
+    match metric {
+        Metric::Cpi => run.cpi_trace(),
+        Metric::Power => PowerModel::new(config).power_trace(run),
+        Metric::Avf => AvfModel::new(config).combined_trace(run, config),
+        Metric::IqAvf => AvfModel::new(config).avf_trace(run, Structure::IssueQueue),
+    }
+}
+
+/// Simulates one design point and extracts its dynamics trace for `metric`.
 ///
 /// Design points may carry 9 values (Table 2) or 10 (with the DVM flag of
 /// the §5 case study).
 ///
 /// # Panics
 ///
-/// Panics on invalid design values (see
-/// [`MachineConfig::from_design_values`]).
+/// Panics on invalid design values ([`MachineConfig::from_design_values`]).
 pub fn trace_for(
     benchmark: Benchmark,
     point: &DesignPoint,
@@ -95,81 +113,61 @@ pub fn trace_for(
 ) -> Vec<f64> {
     let config = MachineConfig::from_design_values(point.values());
     let run = Simulator::new(config.clone()).run(benchmark, opts);
-    match metric {
-        Metric::Cpi => run.cpi_trace(),
-        Metric::Power => PowerModel::new(&config).power_trace(&run),
-        Metric::Avf => {
-            let avf = AvfModel::new(&config);
-            run.intervals
-                .iter()
-                .map(|i| avf.interval_report(i).combined(&config))
-                .collect()
+    metric_trace(&run, &config, metric)
+}
+
+/// Simulates every point once and appends to each of `sets` its metric's
+/// trace from that run: the one simulation loop behind every collector.
+fn fill(sets: &mut [TraceSet], benchmark: Benchmark, points: &[DesignPoint], opts: &SimOptions) {
+    for point in points {
+        let config = MachineConfig::from_design_values(point.values());
+        let run = Simulator::new(config.clone()).run(benchmark, opts);
+        for set in sets.iter_mut() {
+            set.traces.push(metric_trace(&run, &config, set.metric));
         }
-        Metric::IqAvf => AvfModel::new(&config).avf_trace(&run, Structure::IssueQueue),
     }
 }
 
-/// Simulates every design point **once** and extracts all three domain
-/// traces (CPI, power, combined AVF) from the same runs.
-///
-/// Equivalent to three [`collect_traces`] calls at a third of the
-/// simulation cost; used by the Figure 8/9/10 harnesses.
+/// Simulates every design point **once** and returns one [`TraceSet`] per
+/// entry of `metrics`, in order, each equal to [`collect_traces`]'s.
+pub fn collect_metric_traces(
+    benchmark: Benchmark,
+    points: &[DesignPoint],
+    metrics: &[Metric],
+    opts: &SimOptions,
+) -> Vec<TraceSet> {
+    let mut sets: Vec<TraceSet> = metrics
+        .iter()
+        .map(|&m| TraceSet::unfilled(benchmark, m, points))
+        .collect();
+    fill(&mut sets, benchmark, points, opts);
+    sets
+}
+
+/// The CPI, power and combined-AVF trace sets of every point, from one
+/// simulation per point (the Figure 8/9/10 harnesses).
 pub fn collect_domain_traces(
     benchmark: Benchmark,
     points: &[DesignPoint],
     opts: &SimOptions,
 ) -> [TraceSet; 3] {
-    let mut cpi = Vec::with_capacity(points.len());
-    let mut power = Vec::with_capacity(points.len());
-    let mut avf = Vec::with_capacity(points.len());
-    for point in points {
-        let config = MachineConfig::from_design_values(point.values());
-        let run = Simulator::new(config.clone()).run(benchmark, opts);
-        cpi.push(run.cpi_trace());
-        power.push(PowerModel::new(&config).power_trace(&run));
-        let model = AvfModel::new(&config);
-        avf.push(
-            run.intervals
-                .iter()
-                .map(|i| model.interval_report(i).combined(&config))
-                .collect(),
-        );
-    }
-    let mk = |metric, traces| TraceSet {
-        benchmark,
-        metric,
-        points: points.to_vec(),
-        traces,
-    };
-    [
-        mk(Metric::Cpi, cpi),
-        mk(Metric::Power, power),
-        mk(Metric::Avf, avf),
-    ]
+    let mut sets = Metric::DOMAINS.map(|m| TraceSet::unfilled(benchmark, m, points));
+    fill(&mut sets, benchmark, points, opts);
+    sets
 }
 
-/// Simulates every design point and gathers the traces into a
-/// [`TraceSet`].
-///
-/// This is the expensive step the predictive models exist to avoid at
-/// *unsimulated* points: the paper simulates 200 training + 50 test
-/// configurations per benchmark and predicts everywhere else.
+/// Simulates every design point and gathers its `metric` traces: the
+/// expensive step the predictive models exist to avoid at *unsimulated*
+/// points (the paper simulates 200 training + 50 test configurations).
 pub fn collect_traces(
     benchmark: Benchmark,
     points: &[DesignPoint],
     metric: Metric,
     opts: &SimOptions,
 ) -> TraceSet {
-    let traces = points
-        .iter()
-        .map(|p| trace_for(benchmark, p, metric, opts))
-        .collect();
-    TraceSet {
-        benchmark,
-        metric,
-        points: points.to_vec(),
-        traces,
-    }
+    let mut set = TraceSet::unfilled(benchmark, metric, points);
+    fill(std::slice::from_mut(&mut set), benchmark, points, opts);
+    set
 }
 
 #[cfg(test)]

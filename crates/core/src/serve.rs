@@ -86,7 +86,7 @@
 //! ```
 
 use crate::campaign::{complete_lines, fnv1a64};
-use crate::dataset::{collect_traces, Metric};
+use crate::dataset::{collect_metric_traces, Metric, TraceSet};
 use crate::experiment::ExperimentConfig;
 use crate::persist;
 use crate::predictor::{PortableCoeffModel, WaveletNeuralPredictor};
@@ -386,6 +386,13 @@ impl From<std::io::Error> for ReplayError {
 /// and (under fault injection) consume extra RNG draws, breaking replay.
 type CacheEntry = Result<CachedModel, String>;
 
+/// Model-cache key: `(benchmark name, metric name)`.
+type ModelKey = (String, String);
+
+fn model_key(benchmark: Benchmark, metric: Metric) -> ModelKey {
+    (benchmark.name().to_string(), metric.name().to_string())
+}
+
 struct CachedModel {
     model: WaveletNeuralPredictor,
     rung: RecoveryRung,
@@ -653,7 +660,12 @@ impl ServeStats {
 pub struct ServeEngine {
     config: ServeConfig,
     dims: usize,
-    cache: BTreeMap<(String, String), CacheEntry>,
+    cache: BTreeMap<ModelKey, CacheEntry>,
+    /// Training sets of uncached domain models, simulated alongside a
+    /// sibling metric's miss and waiting for their own (see
+    /// [`Self::training_set`]). At most two per benchmark; an entry
+    /// leaves when its key enters `cache` by any route.
+    stash: BTreeMap<ModelKey, TraceSet>,
     seq: u64,
     tick: u64,
     load: u64,
@@ -679,6 +691,7 @@ impl ServeEngine {
             config,
             dims,
             cache: BTreeMap::new(),
+            stash: BTreeMap::new(),
             seq: 0,
             tick: 0,
             load: 0,
@@ -1044,11 +1057,7 @@ impl ServeEngine {
         };
         let uncached = metrics
             .iter()
-            .filter(|m| {
-                !self
-                    .cache
-                    .contains_key(&(benchmark.name().to_string(), m.name().to_string()))
-            })
+            .filter(|m| !self.cache.contains_key(&model_key(benchmark, **m)))
             .count() as u64;
         let upfront = uncached * self.config.train_cost;
         let total_cost = upfront + items;
@@ -1100,7 +1109,7 @@ impl ServeEngine {
             .iter()
             .filter_map(|m| {
                 self.cache
-                    .get(&(benchmark.name().to_string(), m.name().to_string()))
+                    .get(&model_key(benchmark, *m))
                     .and_then(|e| e.as_ref().ok())
                     .map(|c| c.rung)
             })
@@ -1341,10 +1350,7 @@ impl ServeEngine {
         benchmark: Benchmark,
         metric: Metric,
     ) -> Result<&WaveletNeuralPredictor, ServeError> {
-        match self
-            .cache
-            .get(&(benchmark.name().to_string(), metric.name().to_string()))
-        {
+        match self.cache.get(&model_key(benchmark, metric)) {
             Some(Ok(entry)) => Ok(&entry.model),
             Some(Err(msg)) => Err(ServeError::TrainFailed(msg.clone())),
             None => Err(ServeError::TrainFailed(
@@ -1358,7 +1364,7 @@ impl ServeEngine {
     /// the fallback. Failures are cached so a broken key fails the same
     /// way on every request.
     fn ensure_model(&mut self, benchmark: Benchmark, metric: Metric) -> Result<(), ServeError> {
-        let key = (benchmark.name().to_string(), metric.name().to_string());
+        let key = model_key(benchmark, metric);
         if self.cache.contains_key(&key) {
             self.stats.model_hits += 1;
             return Ok(());
@@ -1375,6 +1381,7 @@ impl ServeEngine {
                     let rung = rung_of_snapshot(&model);
                     self.stats.models_loaded += 1;
                     dynawave_obs::counter_add("serve.models.loaded", 1);
+                    self.stash.remove(&key);
                     self.cache.insert(key, Ok(CachedModel { model, rung }));
                     return Ok(());
                 }
@@ -1384,33 +1391,67 @@ impl ServeEngine {
                 }
             }
         }
-        let cfg = &self.config.config;
-        let train = collect_traces(benchmark, &cfg.train_design(), metric, &cfg.sim_options());
-        let entry =
-            match WaveletNeuralPredictor::train_resilient(&train, &cfg.predictor, &cfg.recovery) {
-                Ok((model, degradation)) => {
-                    let rung = degradation
-                        .records()
-                        .iter()
-                        .map(|r| r.rung)
-                        .max_by_key(|r| r.level())
-                        .unwrap_or(RecoveryRung::Primary);
-                    self.stats.models_trained += 1;
-                    dynawave_obs::counter_add("serve.models.trained", 1);
-                    Ok(CachedModel { model, rung })
-                }
-                Err(e) => {
-                    self.stats.models_failed += 1;
-                    dynawave_obs::counter_add("serve.models.failed", 1);
-                    Err(e.to_string())
-                }
-            };
+        let trained = self
+            .training_set(benchmark, metric)
+            .ok_or_else(|| "training set missing (engine bug)".to_string())
+            .and_then(|train| {
+                let cfg = &self.config.config;
+                WaveletNeuralPredictor::train_resilient(&train, &cfg.predictor, &cfg.recovery)
+                    .map_err(|e| e.to_string())
+            });
+        let entry = match trained {
+            Ok((model, degradation)) => {
+                let rung = degradation
+                    .records()
+                    .iter()
+                    .map(|r| r.rung)
+                    .max_by_key(|r| r.level())
+                    .unwrap_or(RecoveryRung::Primary);
+                self.stats.models_trained += 1;
+                dynawave_obs::counter_add("serve.models.trained", 1);
+                Ok(CachedModel { model, rung })
+            }
+            Err(msg) => {
+                self.stats.models_failed += 1;
+                dynawave_obs::counter_add("serve.models.failed", 1);
+                Err(msg)
+            }
+        };
         let failed = entry.as_ref().err().cloned();
         self.cache.insert(key, entry);
         match failed {
             Some(msg) => Err(ServeError::TrainFailed(msg)),
             None => Ok(()),
         }
+    }
+
+    /// Takes the training set of the uncached `(benchmark, metric)` model
+    /// from the stash, simulating into the stash first when it is not
+    /// there.
+    ///
+    /// For a domain metric the one simulation of the training design
+    /// yields the sets of every uncached metric in [`Metric::DOMAINS`];
+    /// the siblings' sets wait in the stash for their own misses. `IqAvf`
+    /// simulates alone. Tick cost is unchanged: each uncached model still
+    /// pays [`ServeConfig::train_cost`].
+    fn training_set(&mut self, benchmark: Benchmark, metric: Metric) -> Option<TraceSet> {
+        let key = model_key(benchmark, metric);
+        if !self.stash.contains_key(&key) {
+            let metrics: Vec<Metric> = if Metric::DOMAINS.contains(&metric) {
+                Metric::DOMAINS
+                    .into_iter()
+                    .filter(|&m| !self.cache.contains_key(&model_key(benchmark, m)))
+                    .collect()
+            } else {
+                vec![metric]
+            };
+            let cfg = &self.config.config;
+            let design = cfg.train_design();
+            for set in collect_metric_traces(benchmark, &design, &metrics, &cfg.sim_options()) {
+                self.stash.insert(model_key(benchmark, set.metric), set);
+            }
+        }
+        self.stash.remove(&key)
     }
 
     /// Common response prefix: schema, version, seq, tick, id, kind.
@@ -2201,6 +2242,142 @@ mod tests {
             engine.handle_line(&stats_request("s"))
         };
         assert_eq!(run(), run());
+    }
+
+    /// A one-point predict request for any `(benchmark, metric)` model.
+    fn model_request(id: &str, benchmark: Benchmark, metric: Metric) -> String {
+        let dims = ExperimentConfig::default().space().dims();
+        format!(
+            "{{\"schema\":\"dynawave-serve\",\"v\":1,\"id\":\"{id}\",\
+             \"kind\":\"predict\",\"benchmark\":\"{benchmark}\",\"metric\":\"{metric}\",\
+             \"points\":[{}]}}",
+            point_json(dims, 2.0)
+        )
+    }
+
+    /// A model trained directly from `collect_traces`: one simulation of
+    /// the training design for this metric alone.
+    fn direct_model(cfg: &ServeConfig, benchmark: Benchmark, metric: Metric) -> String {
+        let c = &cfg.config;
+        let train =
+            crate::dataset::collect_traces(benchmark, &c.train_design(), metric, &c.sim_options());
+        let (model, _) = WaveletNeuralPredictor::train_resilient(&train, &c.predictor, &c.recovery)
+            .expect("direct training");
+        persist::to_string(&model)
+    }
+
+    /// Instructions the simulator committed while `f` ran, read from a
+    /// tick-clock recorder installed around it.
+    fn committed_during(f: impl FnOnce()) -> u64 {
+        let prior = dynawave_obs::install(dynawave_obs::Recorder::with_tick_clock());
+        f();
+        let events = dynawave_obs::drain().expect("recorder installed");
+        if let Some(prior) = prior {
+            dynawave_obs::install(prior);
+        }
+        events
+            .iter()
+            .filter(|e| e.name == "sim.instructions_committed")
+            .filter_map(|e| e.count)
+            .sum()
+    }
+
+    fn stash_keys(engine: &ServeEngine) -> Vec<(String, String)> {
+        engine.stash.keys().cloned().collect()
+    }
+
+    #[test]
+    fn domain_misses_simulate_once_and_drain_the_stash() {
+        use Benchmark::{Gcc, Mcf};
+        use Metric::{Avf, Cpi, IqAvf, Power};
+        let cfg = tiny_config();
+        let c = &cfg.config;
+        let per_design = (c.train_points * c.samples) as u64 * c.interval_instructions;
+        let orders: [&[(Benchmark, Metric)]; 3] = [
+            &[(Gcc, Cpi), (Gcc, Power), (Gcc, Avf)],
+            &[(Gcc, Avf), (Gcc, Cpi), (Gcc, Power)],
+            &[
+                (Gcc, Cpi),
+                (Mcf, Power),
+                (Gcc, Avf),
+                (Mcf, Cpi),
+                (Gcc, Power),
+                (Mcf, Avf),
+            ],
+        ];
+        for order in orders {
+            let mut engine = ServeEngine::new(cfg.clone());
+            let committed = committed_during(|| {
+                for (i, &(b, m)) in order.iter().enumerate() {
+                    let resp = engine.handle_line(&model_request(&format!("r{i}"), b, m));
+                    assert_eq!(parse_resp(&resp)["kind"].as_str(), Some("ok"), "{resp}");
+                    // The first miss of a benchmark stashes its two siblings.
+                    let stashed = engine.stash.keys().filter(|k| k.0 == b.name()).count();
+                    let seen = order[..=i].iter().filter(|(x, _)| *x == b).count();
+                    assert_eq!(stashed, 3 - seen, "order {order:?}, step {i}");
+                }
+            });
+            let benchmarks = if order.len() == 6 { 2 } else { 1 };
+            assert_eq!(committed, benchmarks * per_design, "order {order:?}");
+            assert!(
+                engine.stash.is_empty(),
+                "stash left: {:?}",
+                stash_keys(&engine)
+            );
+            for &(b, m) in order {
+                let served = persist::to_string(engine.cached(b, m).expect("cached"));
+                assert_eq!(served, direct_model(&cfg, b, m), "{b}/{m} model differs");
+            }
+            assert_eq!(engine.stats.models_trained, order.len() as u64);
+            assert_eq!(engine.stats.model_misses, order.len() as u64);
+        }
+
+        // IQ AVF is outside the domains: it simulates alone and stashes
+        // nothing.
+        let mut engine = ServeEngine::new(cfg.clone());
+        let committed = committed_during(|| {
+            engine.handle_line(&model_request("iq", Gcc, IqAvf));
+        });
+        assert_eq!(committed, per_design);
+        assert!(engine.stash.is_empty());
+    }
+
+    #[test]
+    fn snapshot_loads_drop_their_stash_entries() {
+        use Metric::{Avf, Cpi, Power};
+        let dir = std::env::temp_dir().join("dynawave_serve_stash_snapshot");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("models dir");
+        let mut cfg = tiny_config();
+        std::fs::write(
+            dir.join("gcc_power.dynawave"),
+            direct_model(&cfg, Benchmark::Gcc, Power),
+        )
+        .expect("write snapshot");
+        cfg.models_dir = Some(dir);
+        let key = |m: Metric| model_key(Benchmark::Gcc, m);
+
+        // cpi trains and stashes power and avf; power then loads from its
+        // snapshot, which drops the stashed power set.
+        let mut engine = ServeEngine::new(cfg.clone());
+        engine.handle_line(&model_request("c", Benchmark::Gcc, Cpi));
+        assert_eq!(stash_keys(&engine), vec![key(Avf), key(Power)]);
+        engine.handle_line(&model_request("p", Benchmark::Gcc, Power));
+        assert_eq!(stash_keys(&engine), vec![key(Avf)]);
+        engine.handle_line(&model_request("a", Benchmark::Gcc, Avf));
+        assert!(engine.stash.is_empty());
+        assert_eq!(engine.stats.models_loaded, 1);
+        assert_eq!(engine.stats.models_trained, 2);
+
+        // Power first: it is cached before any training, so the cpi miss
+        // stashes avf only.
+        let mut engine = ServeEngine::new(cfg);
+        engine.handle_line(&model_request("p", Benchmark::Gcc, Power));
+        assert!(engine.stash.is_empty());
+        engine.handle_line(&model_request("c", Benchmark::Gcc, Cpi));
+        assert_eq!(stash_keys(&engine), vec![key(Avf)]);
+        engine.handle_line(&model_request("a", Benchmark::Gcc, Avf));
+        assert!(engine.stash.is_empty());
     }
 
     #[test]

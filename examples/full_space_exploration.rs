@@ -10,7 +10,7 @@
 //! cargo run --release -p dynawave-core --example full_space_exploration
 //! ```
 
-use dynawave_core::{collect_traces, trace_for, Metric, PredictorParams, WaveletNeuralPredictor};
+use dynawave_core::{collect_metric_traces, Metric, PredictorParams, WaveletNeuralPredictor};
 use dynawave_numeric::stats::mean;
 use dynawave_sampling::{grid, lhs, DesignSpace, Split};
 use dynawave_sim::SimOptions;
@@ -33,8 +33,11 @@ fn main() {
     // dynalint:allow(D007) -- progress display for a long example run; no result depends on it
     let t0 = Instant::now();
     let train_points = lhs::sample(&space, 60, 7);
-    let cpi_train = collect_traces(bench, &train_points, Metric::Cpi, &opts);
-    let power_train = collect_traces(bench, &train_points, Metric::Power, &opts);
+    let domains = [Metric::Cpi, Metric::Power];
+    let [cpi_train, power_train]: [_; 2] =
+        collect_metric_traces(bench, &train_points, &domains, &opts)
+            .try_into()
+            .expect("one trace set per metric");
     let sim_time = t0.elapsed();
 
     // 2. Train one model per domain.
@@ -74,11 +77,9 @@ fn main() {
     println!("  predicted mean CPI {cpi:.3}, predicted peak power {power:.1} W");
 
     // 4. Validate the winner with one detailed simulation.
-    let actual_cpi = mean(&trace_for(bench, &point, Metric::Cpi, &opts));
-    let actual_power = trace_for(bench, &point, Metric::Power, &opts)
-        .iter()
-        .cloned()
-        .fold(0.0f64, f64::max);
+    let actual = collect_metric_traces(bench, std::slice::from_ref(&point), &domains, &opts);
+    let actual_cpi = mean(&actual[0].traces[0]);
+    let actual_power = actual[1].traces[0].iter().cloned().fold(0.0f64, f64::max);
     println!("  simulated  mean CPI {actual_cpi:.3}, simulated  peak power {actual_power:.1} W");
     println!(
         "  budget {}: {}",

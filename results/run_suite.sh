@@ -22,11 +22,12 @@ echo LINT_OK
 # (per-stage ns/op for sim, DWT, RBF fit/predict, and the end-to-end
 # pipeline with tracing off/on). BENCH_seed.json is the *immutable*
 # ratchet baseline and is never rewritten here — each suite run lands in
-# BENCH_10.json (now including the serve/ daemon telemetry lines:
+# BENCH_12.json (now including the serve/ daemon telemetry lines:
 # steady-state batched prediction, malformed-request shedding, and the
-# stats introspection probe), and compare_bench diffs the two below.
+# stats introspection probe, and the serve/cold_start/domains line), and
+# compare_bench diffs the two below.
 cargo bench --offline -q -p dynawave-bench --bench microbench \
-  > BENCH_10.json 2> results/bench.log && echo BENCH10_OK || echo BENCH10_FAIL
+  > BENCH_12.json 2> results/bench.log && echo BENCH12_OK || echo BENCH12_FAIL
 # Parallel-campaign baseline: full-space campaign wall clock at 1 vs 4
 # worker threads plus the derived speedup and the machine's available
 # parallelism (the speedup is only interpretable next to that number).
@@ -36,7 +37,7 @@ cargo run -q --release --offline -p dynawave-bench --bin campaign_parallel \
 # committed seed baseline. Soft by default — the markdown report is the
 # artifact; flagged regressions print to stderr for the suite log.
 cargo run -q --release --offline -p dynawave-obs --bin compare_bench -- \
-  BENCH_seed.json BENCH_10.json > results/perf_trajectory.md \
+  BENCH_seed.json BENCH_12.json > results/perf_trajectory.md \
   && echo TRAJECTORY_OK || echo TRAJECTORY_FAIL
 # Serve SLO report: trace a canonical daemon session, render the SLO
 # attribution section plus explicit p99 verdicts into a committed

@@ -2,7 +2,7 @@
 //! through the `dynawave-core` dataset layer.
 
 use dynawave_avf::{AvfModel, Structure};
-use dynawave_core::{collect_domain_traces, trace_for, Metric};
+use dynawave_core::{collect_domain_traces, collect_metric_traces, trace_for, Metric};
 use dynawave_power::PowerModel;
 use dynawave_sampling::{lhs, random, DesignPoint, DesignSpace, Split};
 use dynawave_sim::{MachineConfig, SimOptions, Simulator};
@@ -36,6 +36,55 @@ fn domain_traces_consistent_with_individual_collection() {
         avf.traces[0],
         trace_for(Benchmark::Parser, &points[0], Metric::Avf, &opts())
     );
+}
+
+#[test]
+fn metric_traces_equal_per_metric_trace_for_in_any_order() {
+    // 9-knob Table-2 points, and 10-knob points with the DVM throttle on.
+    let nine = lhs::sample(&DesignSpace::micro2007(), 2, 11);
+    let ten: Vec<DesignPoint> = lhs::sample(&DesignSpace::micro2007_with_dvm(), 2, 12)
+        .iter()
+        .map(|p| {
+            let mut v = p.values().to_vec();
+            v[9] = 0.3;
+            DesignPoint::new(v)
+        })
+        .collect();
+    let all = [Metric::Cpi, Metric::Power, Metric::Avf, Metric::IqAvf];
+    for points in [nine, ten] {
+        let expected: Vec<Vec<Vec<f64>>> = all
+            .iter()
+            .map(|&m| {
+                points
+                    .iter()
+                    .map(|p| trace_for(Benchmark::Mcf, p, m, &opts()))
+                    .collect()
+            })
+            .collect();
+        // Every ordering of all four metrics, plus a sub-list and a
+        // single metric.
+        let mut orders: Vec<Vec<usize>> = Vec::new();
+        for a in 0..4 {
+            for b in (0..4).filter(|&b| b != a) {
+                for c in (0..4).filter(|&c| c != a && c != b) {
+                    orders.push(vec![a, b, c, 6 - a - b - c]);
+                }
+            }
+        }
+        orders.push(vec![3, 1]);
+        orders.push(vec![2]);
+        for order in orders {
+            let metrics: Vec<Metric> = order.iter().map(|&i| all[i]).collect();
+            let sets = collect_metric_traces(Benchmark::Mcf, &points, &metrics, &opts());
+            assert_eq!(sets.len(), metrics.len());
+            for (set, &i) in sets.iter().zip(&order) {
+                assert_eq!(set.metric, all[i]);
+                assert_eq!(set.benchmark, Benchmark::Mcf);
+                assert_eq!(set.points, points);
+                assert_eq!(set.traces, expected[i], "{} traces differ", all[i]);
+            }
+        }
+    }
 }
 
 #[test]

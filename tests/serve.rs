@@ -4,9 +4,14 @@
 
 use dynawave_core::experiment::ExperimentConfig;
 use dynawave_core::serve::{replay, ReplayError, ServeConfig, ServeEngine, ServeJournal};
+use dynawave_core::{collect_traces, Metric, WaveletNeuralPredictor};
 use dynawave_numeric::fault::{self, FaultKind, FaultPlan, FaultSite};
+use dynawave_obs::event::{push_json_number, EventKind};
 use dynawave_obs::json;
+use dynawave_sampling::DesignPoint;
 use dynawave_testkit::{check, gen};
+use dynawave_workloads::Benchmark;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -144,6 +149,122 @@ fn kill_and_replay_reproduces_byte_identical_journal() {
     match replay(cfg, &request_log, &tampered) {
         Err(ReplayError::Divergence { response }) => assert_eq!(response, 1),
         other => panic!("tampering must be caught, got {other:?}"),
+    }
+}
+
+/// Probe points of [`model_request`], as `point_json` bases.
+const PROBE_BASES: [f64; 2] = [2.0, 3.5];
+
+/// A predict request at the probe points that asks for the full
+/// predicted traces of one `(benchmark, metric)` model.
+fn model_request(id: &str, benchmark: Benchmark, metric: Metric) -> String {
+    let pts: Vec<String> = PROBE_BASES.iter().map(|&b| point_json(b)).collect();
+    format!(
+        "{{\"schema\":\"dynawave-serve\",\"v\":1,\"id\":\"{id}\",\
+         \"kind\":\"predict\",\"benchmark\":\"{benchmark}\",\"metric\":\"{metric}\",\
+         \"trace\":true,\"points\":[{}]}}",
+        pts.join(",")
+    )
+}
+
+/// The `results` array [`model_request`] must get: the predictions of a
+/// model trained directly from `collect_traces`, one simulation of the
+/// training design per metric.
+fn direct_results(cfg: &ServeConfig, benchmark: Benchmark, metric: Metric) -> String {
+    let c = &cfg.config;
+    let train = collect_traces(benchmark, &c.train_design(), metric, &c.sim_options());
+    let (model, _) = WaveletNeuralPredictor::train_resilient(&train, &c.predictor, &c.recovery)
+        .expect("direct training");
+    let mut out = String::from("\"results\":[");
+    for (i, &base) in PROBE_BASES.iter().enumerate() {
+        let point = DesignPoint::new((0..dims()).map(|k| base + k as f64).collect());
+        let trace = model.predict(&point);
+        let mean = trace.iter().sum::<f64>() / trace.len() as f64;
+        let lo = trace.iter().cloned().fold(f64::INFINITY, f64::min);
+        let hi = trace.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        out.push_str(if i > 0 { ",{\"mean\":" } else { "{\"mean\":" });
+        push_json_number(&mut out, mean);
+        out.push_str(",\"min\":");
+        push_json_number(&mut out, lo);
+        out.push_str(",\"max\":");
+        push_json_number(&mut out, hi);
+        out.push_str(",\"trace\":[");
+        for (j, v) in trace.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            push_json_number(&mut out, *v);
+        }
+        out.push_str("]}");
+    }
+    out.push_str("]}");
+    out
+}
+
+/// Instructions the `sim.instructions_committed` counter saw in a
+/// drained tick-clock recorder's stream.
+fn committed_instructions(events: &[dynawave_obs::Event]) -> u64 {
+    events
+        .iter()
+        .filter(|e| e.kind == EventKind::Counter && e.name == "sim.instructions_committed")
+        .filter_map(|e| e.count)
+        .sum()
+}
+
+#[test]
+fn domain_misses_share_one_simulation_per_training_design() {
+    use Benchmark::{Gcc, Mcf};
+    use Metric::{Avf, Cpi, Power};
+    let cfg = tiny_config();
+    let c = &cfg.config;
+    let per_design = (c.train_points * c.samples) as u64 * c.interval_instructions;
+    let mut direct = BTreeMap::new();
+    let orders: [&[(Benchmark, Metric)]; 3] = [
+        &[(Gcc, Cpi), (Gcc, Power), (Gcc, Avf)],
+        &[(Gcc, Avf), (Gcc, Cpi), (Gcc, Power)],
+        &[
+            (Gcc, Cpi),
+            (Mcf, Power),
+            (Gcc, Avf),
+            (Mcf, Cpi),
+            (Gcc, Power),
+            (Mcf, Avf),
+        ],
+    ];
+    for order in orders {
+        let mut engine = ServeEngine::new(cfg.clone());
+        let prior = dynawave_obs::install(dynawave_obs::Recorder::with_tick_clock());
+        let responses: Vec<String> = order
+            .iter()
+            .enumerate()
+            .map(|(i, &(b, m))| engine.handle_line(&model_request(&format!("m{i}"), b, m)))
+            .collect();
+        let events = dynawave_obs::drain().expect("recorder installed");
+        if let Some(prior) = prior {
+            dynawave_obs::install(prior);
+        }
+        let distinct = order.iter().map(|(b, _)| b.name()).collect::<BTreeSet<_>>();
+        assert_eq!(
+            committed_instructions(&events),
+            distinct.len() as u64 * per_design,
+            "one training-design simulation per benchmark, order {order:?}"
+        );
+        for (resp, &(b, m)) in responses.iter().zip(order) {
+            assert!(resp.contains("\"kind\":\"ok\""), "{resp}");
+            let expected = direct
+                .entry((b.name(), m.name()))
+                .or_insert_with(|| direct_results(&cfg, b, m));
+            assert!(
+                resp.ends_with(expected.as_str()),
+                "{b}/{m} answers differ from a directly trained model: {resp}"
+            );
+        }
+        // Every miss still pays the full train cost on the tick clock.
+        let trained = order.len() as u64 * cfg.train_cost;
+        assert_eq!(
+            engine.tick(),
+            trained + (order.len() * PROBE_BASES.len()) as u64
+        );
     }
 }
 
