@@ -76,17 +76,18 @@ if [ "$OBS" = 1 ]; then
   cargo run -q --release --offline -p dynawave-obs --bin obs_validate -- \
     --stats --require-stages sim,wavelet,neural,predictor,campaign \
     < "$CI_TMP/obs_t1.jsonl"
-  # Analysis gate: the derived obs_report (self/inclusive time, unit
-  # latencies, rollups) must also be byte-identical across worker
-  # thread counts — the stream already is; this pins the analyzer too.
+  # Thread-count gate: the raw stream and its derived obs_report
+  # (self/inclusive time, unit latencies, rollups) must both be
+  # byte-identical across worker thread counts.
   DYNAWAVE_TRACE=1 DYNAWAVE_THREADS=4 cargo run -q --release --offline \
     -p dynawave-core --example quickstart > /dev/null 2> "$CI_TMP/obs_t4.jsonl"
   cargo run -q --release --offline -p dynawave-obs --bin obs_report \
     < "$CI_TMP/obs_t1.jsonl" > "$CI_TMP/obs_report_t1.md"
   cargo run -q --release --offline -p dynawave-obs --bin obs_report \
     < "$CI_TMP/obs_t4.jsonl" > "$CI_TMP/obs_report_t4.md"
+  cmp "$CI_TMP/obs_t1.jsonl" "$CI_TMP/obs_t4.jsonl"
   cmp "$CI_TMP/obs_report_t1.md" "$CI_TMP/obs_report_t4.md"
-  echo "obs_report byte-identical across thread counts"
+  echo "obs stream and obs_report byte-identical across thread counts"
 fi
 
 if [ "$PAR" = 1 ]; then

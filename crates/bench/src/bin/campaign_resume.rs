@@ -8,7 +8,7 @@
 //! prints the model-degradation ladder that let it finish anyway.
 
 use dynawave_bench::{fmt, print_table, start};
-use dynawave_core::campaign::{advance_journaled, run_journaled, CampaignSpec};
+use dynawave_core::campaign::{run_journaled_parallel, CampaignSpec, ShardedCampaign};
 use dynawave_core::{report, Metric};
 use dynawave_numeric::fault::{self, FaultKind, FaultPlan, FaultSite};
 use dynawave_workloads::Benchmark;
@@ -33,16 +33,22 @@ fn main() {
 
     // Uninterrupted reference run (separate journal).
     let reference = dir.join("reference.journal");
-    let ref_evals = run_journaled(&spec, &reference).expect("reference campaign");
+    let ref_evals = run_journaled_parallel(&spec, &reference, 1).expect("reference campaign");
     let ref_report = report::full_report("campaign", &ref_evals);
 
     // Phase 1: run part of the campaign, tear the journal tail, resume.
     let kill_after = spec.unit_count() / 2;
-    let done = advance_journaled(&spec, &journal, kill_after).expect("partial campaign");
-    let text = std::fs::read_to_string(&journal).expect("journal readable");
+    let mut partial = ShardedCampaign::new(spec.clone(), 1);
+    for _ in 0..kill_after {
+        partial.step(0);
+    }
+    let text = partial.merged_journal();
     std::fs::write(&journal, &text[..text.len().saturating_sub(11)]).expect("tear journal");
-    println!("simulated kill after {done} units (journal tail torn mid-line)");
-    let evals = run_journaled(&spec, &journal).expect("resumed campaign");
+    println!(
+        "simulated kill after {} units (journal tail torn mid-line)",
+        partial.completed_count()
+    );
+    let evals = run_journaled_parallel(&spec, &journal, 1).expect("resumed campaign");
     let resumed_report = report::full_report("campaign", &evals);
     println!(
         "resume: report byte-identical to uninterrupted run: {}",
@@ -56,7 +62,8 @@ fn main() {
         .rate(0.5)
         .targeting(&[FaultSite::RbfWeightFit])
         .kinds(&[FaultKind::Singular, FaultKind::NonFinite]);
-    let (out, fault_report) = fault::with_plan(plan, || run_journaled(&spec, &chaos_journal));
+    let (out, fault_report) =
+        fault::with_plan(plan, || run_journaled_parallel(&spec, &chaos_journal, 1));
     let chaos_evals = out.expect("chaos campaign completes");
     println!(
         "\nchaos run: {} faults injected over {} fit consultations",

@@ -60,7 +60,7 @@ pub mod recovery;
 pub mod report;
 pub mod serve;
 
-pub use campaign::{run_journaled, run_journaled_parallel, threads_from_env, ShardedCampaign};
+pub use campaign::{run_journaled_parallel, threads_from_env, ShardedCampaign};
 pub use dataset::{
     collect_domain_traces, collect_metric_traces, collect_traces, trace_for, Metric, TraceSet,
 };

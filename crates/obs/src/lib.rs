@@ -224,12 +224,14 @@ impl Recorder {
     ///
     /// Renumbering keeps the schema validator green: `seq` stays strictly
     /// increasing and `tick` non-decreasing (each appended event takes the
-    /// next tick from this recorder's clock). Span enter/exit pairs must
-    /// not cross a boundary marker, otherwise their `ticks` deltas are
-    /// recomputed from the merged clock. Worker metrics fold in through
-    /// [`MetricSet::merge`] — counters sum, histograms with identical
-    /// bounds sum, gauges take the value from the highest-ordered segment
-    /// owner's set (sets merge in worker order).
+    /// next tick from this recorder's clock), and span `depth` is offset by
+    /// the spans open on this recorder, so a worker's top-level span nests
+    /// under the merging caller's open span as if the caller had run it
+    /// inline. Span enter/exit pairs must not cross a boundary marker,
+    /// otherwise their `ticks` deltas are recomputed from the merged clock.
+    /// Worker metrics fold in through [`MetricSet::merge`] — counters sum,
+    /// histograms with identical bounds sum, gauges take the value from the
+    /// highest-ordered segment owner's set (sets merge in worker order).
     pub fn absorb_workers<F>(&mut self, workers: Vec<Recorder>, boundary: &str, order: F)
     where
         F: Fn(&str) -> u64,
@@ -263,6 +265,8 @@ impl Recorder {
                 event.seq = self.seq;
                 self.seq += 1;
                 event.tick = self.clock.now();
+                // Worker spans nest under whatever span is open here.
+                event.depth = event.depth.map(|d| d + self.depth);
                 match event.kind {
                     EventKind::SpanEnter => enter_ticks.push(event.tick),
                     EventKind::SpanExit => {
@@ -590,6 +594,36 @@ mod tests {
             // Worker counters summed into the main metric snapshot.
             let units = events.iter().find(|e| e.name == "units").unwrap();
             assert_eq!(units.count, Some(4));
+        });
+    }
+
+    #[test]
+    fn absorbed_worker_spans_nest_under_the_open_span() {
+        with_clean_slot(|| {
+            let worker = {
+                let mut rec = Recorder::with_tick_clock();
+                let (depth, enter) = rec.span_enter("sim.run_trace");
+                rec.span_exit("sim.run_trace", depth, enter);
+                rec
+            };
+            install(Recorder::with_tick_clock());
+            {
+                span!("campaign.run");
+                absorb_workers(vec![worker], "unit.done", |_| 0);
+            }
+            let events = drain().unwrap();
+            let depths: Vec<(&str, Option<u64>)> =
+                events.iter().map(|e| (e.name.as_str(), e.depth)).collect();
+            assert_eq!(
+                depths,
+                vec![
+                    ("campaign.run", Some(0)),
+                    ("sim.run_trace", Some(1)),
+                    ("sim.run_trace", Some(1)),
+                    ("campaign.run", Some(0)),
+                ]
+            );
+            assert!(validate_stream(&encode_lines(&events)).is_clean());
         });
     }
 

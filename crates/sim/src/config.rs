@@ -70,7 +70,8 @@ pub struct MachineConfig {
     pub btb_entries: u32,
     /// BTB associativity.
     pub btb_ways: u32,
-    /// Return-address-stack entries.
+    /// Return-address-stack entries (Table 1). Recorded and printed, but
+    /// not modelled: the synthetic traces mark no calls or returns.
     pub ras_entries: u32,
     /// L1 instruction-cache associativity.
     pub il1_ways: u32,

@@ -7,7 +7,7 @@
 //!
 //! * front-end bandwidth (fetch width) and instruction-cache / ITLB
 //!   behaviour, with fetch redirect stalls on branch mispredictions
-//!   (gshare + BTB + RAS front end, [`branch`]),
+//!   (gshare + BTB front end, [`branch`]),
 //! * ROB / issue-queue / load-store-queue occupancy limits,
 //! * register dependencies (true dataflow through dependency distances),
 //! * issue bandwidth, functional-unit pools and data-cache ports,

@@ -1,6 +1,6 @@
 //! The one-pass out-of-order timing model.
 
-use crate::branch::{Bimodal, Btb, Gshare, ReturnAddressStack};
+use crate::branch::{Bimodal, Btb, Gshare};
 use crate::cache::{Cache, Tlb};
 use crate::config::BranchPredictorKind;
 use crate::config::MachineConfig;
@@ -225,8 +225,6 @@ struct Engine {
     bimodal: Bimodal,
     bp_kind: BranchPredictorKind,
     btb: Btb,
-    #[allow(dead_code)]
-    ras: ReturnAddressStack,
     fetch_pool: ServerPool,
     fetch_ready: u64,
     last_line: u64,
@@ -284,7 +282,6 @@ impl Engine {
             bimodal: Bimodal::new(c.bp_entries),
             bp_kind: c.bp_kind,
             btb: Btb::new(c.btb_entries, c.btb_ways),
-            ras: ReturnAddressStack::new(c.ras_entries),
             fetch_pool: ServerPool::new(c.fetch_width),
             fetch_ready: 0,
             last_line: u64::MAX,

@@ -18,7 +18,7 @@
 //! predictor, campaign) and is byte-identical for any worker count.
 
 use dynawave_core::campaign::{
-    run_journaled_parallel, threads_from_env, CampaignRunner, CampaignSpec,
+    run_journaled_parallel, threads_from_env, CampaignSpec, ShardedCampaign,
 };
 use dynawave_core::experiment::ExperimentConfig;
 use dynawave_core::{
@@ -102,9 +102,9 @@ fn main() {
                 ..ExperimentConfig::default()
             },
         );
-        let mut first = CampaignRunner::new(spec.clone());
+        let mut first = ShardedCampaign::new(spec.clone(), 1);
         for _ in 0..5 {
-            first.run_next();
+            first.step(0);
         }
         // Persist the partial journal, then let the parallel sharded
         // executor (DYNAWAVE_THREADS workers) resume and finish it. The
@@ -114,7 +114,7 @@ fn main() {
             "dynawave-quickstart-{}.journal",
             std::process::id()
         ));
-        std::fs::write(&journal, first.journal()).expect("temp journal is writable");
+        std::fs::write(&journal, first.merged_journal()).expect("temp journal is writable");
         let threads = threads_from_env().expect("DYNAWAVE_THREADS must be a positive integer");
         let evals = run_journaled_parallel(&spec, &journal, threads)
             .expect("the default recovery policy cannot fail training");

@@ -4,13 +4,13 @@
 //! fault injection — and shard-count mismatches must be refused, not
 //! silently merged. A seeded interleaving stress harness drives the
 //! storage-agnostic core through randomized schedules and mid-run kills
-//! against the sequential oracle.
+//! against the sequential oracle: the in-memory one-shard campaign.
 
 use dynawave_core::campaign::{
-    run_journaled, run_journaled_parallel, shard_path, threads_from_env, CampaignError,
-    CampaignRunner, CampaignSpec, ShardedCampaign,
+    run_journaled_parallel, shard_path, threads_from_env, CampaignError, CampaignSpec,
+    ShardedCampaign,
 };
-use dynawave_core::experiment::ExperimentConfig;
+use dynawave_core::experiment::{BenchmarkEvaluation, ExperimentConfig};
 use dynawave_core::{report, Metric};
 use dynawave_testkit::stress::{stress_parallel, StressOp};
 use dynawave_workloads::Benchmark;
@@ -78,13 +78,40 @@ impl Drop for Scratch {
     }
 }
 
+/// Runs the campaign at `threads` under a fresh tick-clock recorder,
+/// returning its evaluations and event stream.
+fn traced_run(
+    spec: &CampaignSpec,
+    threads: usize,
+    tag: &str,
+) -> (Vec<BenchmarkEvaluation>, Vec<dynawave_obs::Event>) {
+    let scratch = Scratch::new(tag);
+    let prior = dynawave_obs::take();
+    dynawave_obs::install(dynawave_obs::Recorder::with_tick_clock());
+    let evals = run_journaled_parallel(spec, &scratch.0, threads).unwrap();
+    let events = dynawave_obs::drain().expect("recorder was installed");
+    if let Some(prior) = prior {
+        dynawave_obs::install(prior);
+    }
+    (evals, events)
+}
+
+/// The sequential oracle: a one-shard campaign stepped to completion in
+/// memory. Returns its canonical journal and report.
+fn oracle(spec: &CampaignSpec) -> (String, String) {
+    let mut campaign = ShardedCampaign::new(spec.clone(), 1);
+    while campaign.step(0).is_some() {}
+    let evals = campaign.finish().unwrap();
+    (
+        campaign.merged_journal(),
+        report::full_report("campaign", &evals),
+    )
+}
+
 #[test]
 fn reports_and_journals_byte_identical_across_thread_counts() {
     let spec = wide_spec(41);
-    let reference = Scratch::new("threads-ref");
-    let evals = run_journaled(&spec, &reference.0).unwrap();
-    let want_report = report::full_report("campaign", &evals);
-    let want_journal = fs::read_to_string(&reference.0).unwrap();
+    let (want_journal, want_report) = oracle(&spec);
     for threads in [1, 2, 4, 8] {
         let scratch = Scratch::new(&format!("threads-{threads}"));
         let evals = run_journaled_parallel(&spec, &scratch.0, threads).unwrap();
@@ -111,9 +138,7 @@ fn reports_and_journals_byte_identical_across_thread_counts() {
 #[test]
 fn kill_and_resume_under_4_threads_is_byte_identical() {
     let spec = tiny_spec(43);
-    let reference = Scratch::new("kill-ref");
-    let want = report::full_report("campaign", &run_journaled(&spec, &reference.0).unwrap());
-    let want_journal = fs::read_to_string(&reference.0).unwrap();
+    let (want_journal, want) = oracle(&spec);
 
     // Simulate a killed 4-thread run: some shards part-done, one sidecar
     // torn mid-write, no canonical journal yet.
@@ -188,14 +213,7 @@ fn chaos_under_4_threads_degrades_identically_to_1_thread() {
 fn obs_streams_byte_identical_across_thread_counts_and_runs() {
     let spec = tiny_spec(59);
     let traced_run = |threads: usize, tag: &str| {
-        let scratch = Scratch::new(tag);
-        let prior = dynawave_obs::take();
-        dynawave_obs::install(dynawave_obs::Recorder::with_tick_clock());
-        let evals = run_journaled_parallel(&spec, &scratch.0, threads).unwrap();
-        let events = dynawave_obs::drain().expect("recorder was installed");
-        if let Some(prior) = prior {
-            dynawave_obs::install(prior);
-        }
+        let (evals, events) = traced_run(&spec, threads, tag);
         (evals, dynawave_obs::encode_lines(&events))
     };
     let (evals_1, stream_1) = traced_run(1, "obs-1");
@@ -222,21 +240,27 @@ fn obs_streams_byte_identical_across_thread_counts_and_runs() {
 }
 
 #[test]
+fn worker_spans_nest_under_campaign_run_at_any_thread_count() {
+    let spec = tiny_spec(71);
+    for threads in [1, 4] {
+        let (_, events) = traced_run(&spec, threads, &format!("depth-{threads}"));
+        let enters: Vec<_> = events
+            .iter()
+            .filter(|e| e.kind == dynawave_obs::EventKind::SpanEnter && e.name == "sim.run_trace")
+            .collect();
+        assert_eq!(enters.len(), spec.unit_count(), "one run per unit");
+        assert!(
+            enters.iter().all(|e| e.depth == Some(1)),
+            "sim.run_trace must nest under campaign.run at {threads} threads"
+        );
+    }
+}
+
+#[test]
 fn stream_analysis_is_deterministic_and_sums_like_the_profile() {
     let spec = tiny_spec(67);
-    let traced_run = |threads: usize, tag: &str| {
-        let scratch = Scratch::new(tag);
-        let prior = dynawave_obs::take();
-        dynawave_obs::install(dynawave_obs::Recorder::with_tick_clock());
-        run_journaled_parallel(&spec, &scratch.0, threads).unwrap();
-        let events = dynawave_obs::drain().expect("recorder was installed");
-        if let Some(prior) = prior {
-            dynawave_obs::install(prior);
-        }
-        events
-    };
-    let events_1 = traced_run(1, "analysis-1");
-    let events_4 = traced_run(4, "analysis-4");
+    let (_, events_1) = traced_run(&spec, 1, "analysis-1");
+    let (_, events_4) = traced_run(&spec, 4, "analysis-4");
     let analysis_1 = dynawave_obs::StreamAnalysis::from_events(&events_1);
     let analysis_4 = dynawave_obs::StreamAnalysis::from_events(&events_4);
     // The derived report is byte-identical across worker counts, like the
@@ -298,8 +322,8 @@ fn parallel_resume_refuses_foreign_shard_counts() {
         }
         other => panic!("expected ShardMismatch, got {other:?}"),
     }
-    // The sequential loader refuses them too (it is the one-shard case).
-    match run_journaled(&spec, &scratch.0) {
+    // A one-thread run refuses them too: sequential is the one-shard case.
+    match run_journaled_parallel(&spec, &scratch.0, 1) {
         Err(CampaignError::ShardMismatch { expected, found }) => {
             assert_eq!((expected, found), (1, 4));
         }
@@ -311,10 +335,7 @@ fn parallel_resume_refuses_foreign_shard_counts() {
 fn stress_randomized_schedules_match_the_sequential_oracle() {
     let spec = tiny_spec(73);
     // Sequential oracle, computed once.
-    let mut oracle = CampaignRunner::new(spec.clone());
-    while oracle.run_next().is_some() {}
-    let oracle_journal = oracle.journal();
-    let oracle_report = report::full_report("campaign", &oracle.finish().unwrap());
+    let (oracle_journal, oracle_report) = oracle(&spec);
 
     stress_parallel("sharded campaign vs sequential oracle", 3, 12, |plan| {
         let shards = plan.shards;
