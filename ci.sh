@@ -19,9 +19,10 @@ cd "$(dirname "$0")"
 # plus a byte-for-byte comparison of the full-space demo's report at 1
 # and 4 worker threads — the report must not depend on thread count.
 # --perf adds the perf-trajectory ratchet: a quick microbench subset
-# diffed against the committed BENCH_seed.json baseline with
-# compare_bench. Soft by default (regressions warn, like the lint
-# baseline); --strict-perf turns flagged regressions into failures.
+# (wavelet, simulator/run, workloads/generate) diffed against the
+# committed BENCH_seed.json baseline with compare_bench. Soft by default
+# (regressions warn, like the lint baseline); --strict-perf turns
+# flagged regressions into failures.
 # --serve adds the daemon chaos gate: the serve test battery (replay
 # byte-identity, 12k-case fuzz corpus, deadline/backpressure), a
 # kill-and-replay determinism check across DYNAWAVE_THREADS 1 and 4
@@ -198,14 +199,17 @@ fi
 
 if [ "$PERF" = 1 ]; then
   echo "=== perf: trajectory ratchet vs BENCH_seed.json ==="
-  # A quick microbench subset (the wavelet stage: cheap, stable) at
-  # reduced sampling, diffed against the committed seed baseline. Only
-  # noise-aware flags count: a delta must beat the relative threshold
-  # AND escape the baseline's min/max band. Benches outside the subset
-  # show up as "Removed" in the report, which is informational.
-  DYNAWAVE_BENCH_SAMPLES=7 DYNAWAVE_BENCH_MIN_BATCH_MS=5 \
-    cargo bench --offline -q -p dynawave-bench --bench microbench -- wavelet \
-    > "$CI_TMP/bench_now.json"
+  # A quick microbench subset at reduced sampling, diffed against the
+  # committed seed baseline: the wavelet stage (cheap, stable) plus the
+  # timing engine and trace generation, the layers where simulation
+  # time goes. Only noise-aware flags count: a delta must beat the
+  # relative threshold AND escape the baseline's min/max band. Benches
+  # outside the subset show up as "Removed" in the report, which is
+  # informational.
+  for filter in wavelet simulator/run workloads/generate; do
+    DYNAWAVE_BENCH_SAMPLES=7 DYNAWAVE_BENCH_MIN_BATCH_MS=5 \
+      cargo bench --offline -q -p dynawave-bench --bench microbench -- "$filter"
+  done > "$CI_TMP/bench_now.json"
   STRICT_FLAG=""
   [ "$STRICT_PERF" = 1 ] && STRICT_FLAG="--strict"
   cargo run -q --release --offline -p dynawave-obs --bin compare_bench -- \

@@ -3,7 +3,9 @@
 
 use dynawave_bench::{fmt, print_table, start};
 use dynawave_core::experiment::score_model;
-use dynawave_core::{collect_domain_traces, ModelKind, PredictorParams, WaveletNeuralPredictor};
+use dynawave_core::{
+    collect_metric_traces, Metric, ModelKind, PredictorParams, WaveletNeuralPredictor,
+};
 use dynawave_workloads::Benchmark;
 
 fn main() {
@@ -18,8 +20,8 @@ fn main() {
     let mut cells = 0usize;
     for bench in Benchmark::ALL {
         eprintln!("simulating {bench} ...");
-        let train_sets = collect_domain_traces(bench, &cfg.train_design(), &opts);
-        let test_sets = collect_domain_traces(bench, &cfg.test_design(), &opts);
+        let train_sets = collect_metric_traces(bench, &cfg.train_design(), &Metric::DOMAINS, &opts);
+        let test_sets = collect_metric_traces(bench, &cfg.test_design(), &Metric::DOMAINS, &opts);
         for (train, test) in train_sets.into_iter().zip(test_sets) {
             let metric = train.metric;
             let mut errs = [0.0f64; 3];

@@ -4,7 +4,7 @@
 
 use dynawave_bench::{fmt, print_table, start};
 use dynawave_core::experiment::score_model;
-use dynawave_core::{collect_domain_traces, Metric, WaveletNeuralPredictor};
+use dynawave_core::{collect_metric_traces, Metric, WaveletNeuralPredictor};
 use dynawave_numeric::stats::BoxplotSummary;
 use dynawave_workloads::Benchmark;
 
@@ -21,8 +21,8 @@ fn main() {
     let mut results: Vec<(Benchmark, [Vec<f64>; 3])> = Vec::new();
     for bench in Benchmark::ALL {
         eprintln!("simulating {bench} ...");
-        let train_sets = collect_domain_traces(bench, &train_design, &opts);
-        let test_sets = collect_domain_traces(bench, &test_design, &opts);
+        let train_sets = collect_metric_traces(bench, &train_design, &Metric::DOMAINS, &opts);
+        let test_sets = collect_metric_traces(bench, &test_design, &Metric::DOMAINS, &opts);
         let mut per_domain: [Vec<f64>; 3] = Default::default();
         for (slot, (train, test)) in train_sets.into_iter().zip(test_sets).enumerate() {
             let model =

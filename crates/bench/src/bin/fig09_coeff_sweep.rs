@@ -4,7 +4,7 @@
 
 use dynawave_bench::{fmt, print_table, start};
 use dynawave_core::experiment::score_model;
-use dynawave_core::{collect_domain_traces, Metric, PredictorParams, WaveletNeuralPredictor};
+use dynawave_core::{collect_metric_traces, Metric, PredictorParams, WaveletNeuralPredictor};
 use dynawave_workloads::Benchmark;
 
 fn main() {
@@ -23,8 +23,8 @@ fn main() {
     let mut count = 0usize;
     for bench in Benchmark::ALL {
         eprintln!("simulating {bench} ...");
-        let train_sets = collect_domain_traces(bench, &cfg.train_design(), &opts);
-        let test_sets = collect_domain_traces(bench, &cfg.test_design(), &opts);
+        let train_sets = collect_metric_traces(bench, &cfg.train_design(), &Metric::DOMAINS, &opts);
+        let test_sets = collect_metric_traces(bench, &cfg.test_design(), &Metric::DOMAINS, &opts);
         count += 1;
         for (slot, (train, test)) in train_sets.into_iter().zip(test_sets).enumerate() {
             for (ki, &k) in ks.iter().enumerate() {

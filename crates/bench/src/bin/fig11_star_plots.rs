@@ -4,7 +4,7 @@
 
 use dynawave_bench::{print_table, start};
 use dynawave_core::importance::{split_frequency_star, split_order_star, StarPlot};
-use dynawave_core::{collect_domain_traces, Metric, WaveletNeuralPredictor};
+use dynawave_core::{collect_metric_traces, Metric, WaveletNeuralPredictor};
 use dynawave_sampling::DesignSpace;
 use dynawave_workloads::Benchmark;
 
@@ -42,7 +42,7 @@ fn main() {
     let mut freq_stars: [Vec<(Benchmark, StarPlot)>; 3] = Default::default();
     for bench in Benchmark::ALL {
         eprintln!("simulating {bench} ...");
-        let train_sets = collect_domain_traces(bench, &cfg.train_design(), &opts);
+        let train_sets = collect_metric_traces(bench, &cfg.train_design(), &Metric::DOMAINS, &opts);
         for (slot, train) in train_sets.into_iter().enumerate() {
             let model = WaveletNeuralPredictor::train(&train, &cfg.predictor).expect("training");
             if let Some(star) = split_order_star(&model, &names) {

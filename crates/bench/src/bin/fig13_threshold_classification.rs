@@ -4,7 +4,7 @@
 
 use dynawave_bench::{fmt, print_table, start};
 use dynawave_core::experiment::score_model;
-use dynawave_core::{collect_domain_traces, Metric, WaveletNeuralPredictor};
+use dynawave_core::{collect_metric_traces, Metric, WaveletNeuralPredictor};
 use dynawave_workloads::Benchmark;
 
 fn main() {
@@ -16,8 +16,8 @@ fn main() {
     let mut tables: [Vec<Vec<String>>; 3] = Default::default();
     for bench in Benchmark::ALL {
         eprintln!("simulating {bench} ...");
-        let train_sets = collect_domain_traces(bench, &cfg.train_design(), &opts);
-        let test_sets = collect_domain_traces(bench, &cfg.test_design(), &opts);
+        let train_sets = collect_metric_traces(bench, &cfg.train_design(), &Metric::DOMAINS, &opts);
+        let test_sets = collect_metric_traces(bench, &cfg.test_design(), &Metric::DOMAINS, &opts);
         for (slot, (train, test)) in train_sets.into_iter().zip(test_sets).enumerate() {
             let model = WaveletNeuralPredictor::train(&train, &cfg.predictor).expect("training");
             let eval = score_model(bench, train.metric, model, test);

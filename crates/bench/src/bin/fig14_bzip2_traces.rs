@@ -4,7 +4,7 @@
 use dynawave_bench::{downsample, fmt, sparkline, start};
 use dynawave_core::accuracy::Thresholds;
 use dynawave_core::experiment::score_model;
-use dynawave_core::{collect_domain_traces, WaveletNeuralPredictor};
+use dynawave_core::{collect_metric_traces, Metric, WaveletNeuralPredictor};
 use dynawave_numeric::stats::nmse_percent;
 use dynawave_workloads::Benchmark;
 
@@ -15,8 +15,8 @@ fn main() {
     );
     let opts = cfg.sim_options();
     let bench = Benchmark::Bzip2;
-    let train_sets = collect_domain_traces(bench, &cfg.train_design(), &opts);
-    let test_sets = collect_domain_traces(bench, &cfg.test_design(), &opts);
+    let train_sets = collect_metric_traces(bench, &cfg.train_design(), &Metric::DOMAINS, &opts);
+    let test_sets = collect_metric_traces(bench, &cfg.test_design(), &Metric::DOMAINS, &opts);
     for (train, test) in train_sets.into_iter().zip(test_sets) {
         let metric = train.metric;
         let model = WaveletNeuralPredictor::train(&train, &cfg.predictor).expect("training");

@@ -144,18 +144,6 @@ pub fn collect_metric_traces(
     sets
 }
 
-/// The CPI, power and combined-AVF trace sets of every point, from one
-/// simulation per point (the Figure 8/9/10 harnesses).
-pub fn collect_domain_traces(
-    benchmark: Benchmark,
-    points: &[DesignPoint],
-    opts: &SimOptions,
-) -> [TraceSet; 3] {
-    let mut sets = Metric::DOMAINS.map(|m| TraceSet::unfilled(benchmark, m, points));
-    fill(&mut sets, benchmark, points, opts);
-    sets
-}
-
 /// Simulates every design point and gathers its `metric` traces: the
 /// expensive step the predictive models exist to avoid at *unsimulated*
 /// points (the paper simulates 200 training + 50 test configurations).

@@ -61,9 +61,7 @@ pub mod report;
 pub mod serve;
 
 pub use campaign::{run_journaled_parallel, threads_from_env, ShardedCampaign};
-pub use dataset::{
-    collect_domain_traces, collect_metric_traces, collect_traces, trace_for, Metric, TraceSet,
-};
+pub use dataset::{collect_metric_traces, collect_traces, trace_for, Metric, TraceSet};
 pub use predictor::{
     CoefficientSelection, ModelKind, PortableCoeffModel, PortableModel, PredictorParams,
     WaveletNeuralPredictor,

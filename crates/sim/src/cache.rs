@@ -27,8 +27,6 @@ pub struct Cache {
     /// LRU timestamps parallel to `tags`.
     stamps: Vec<u64>,
     tick: u64,
-    accesses: u64,
-    misses: u64,
 }
 
 impl Cache {
@@ -51,7 +49,7 @@ impl Cache {
         let lines = (size_bytes / u64::from(line_bytes)) as usize;
         assert!(lines >= ways, "cache smaller than one way");
         // Largest power-of-two set count that fits the capacity.
-        let sets = prev_power_of_two(lines / ways).max(1);
+        let sets = prev_power_of_two(lines / ways);
         Cache {
             sets,
             ways,
@@ -59,26 +57,14 @@ impl Cache {
             tags: vec![u64::MAX; sets * ways],
             stamps: vec![0; sets * ways],
             tick: 0,
-            accesses: 0,
-            misses: 0,
         }
     }
 
-    /// Number of sets.
-    pub fn sets(&self) -> usize {
-        self.sets
-    }
-
-    /// Associativity.
-    pub fn ways(&self) -> usize {
-        self.ways
-    }
-
     /// Accesses `addr`; returns `true` on hit. Misses allocate (the
-    /// hierarchy is modelled write-allocate for stores too).
+    /// hierarchy is modelled write-allocate for stores too), so a
+    /// prefetch fill is the same call with the result ignored.
     pub fn access(&mut self, addr: u64) -> bool {
         self.tick += 1;
-        self.accesses += 1;
         let line = addr >> self.line_shift;
         let set = (line as usize) & (self.sets - 1);
         let base = set * self.ways;
@@ -87,7 +73,6 @@ impl Cache {
             self.stamps[base + way] = self.tick;
             return true;
         }
-        self.misses += 1;
         // Evict LRU.
         let mut victim = 0;
         let mut oldest = u64::MAX;
@@ -106,81 +91,11 @@ impl Cache {
         self.stamps[base + victim] = self.tick;
         false
     }
-
-    /// Installs `addr`'s line without counting a demand access (prefetch
-    /// fill). Returns `true` if the line was already resident.
-    pub fn install(&mut self, addr: u64) -> bool {
-        self.tick += 1;
-        let line = addr >> self.line_shift;
-        let set = (line as usize) & (self.sets - 1);
-        let base = set * self.ways;
-        if let Some(way) = self.tags[base..base + self.ways]
-            .iter()
-            .position(|&t| t == line)
-        {
-            self.stamps[base + way] = self.tick;
-            return true;
-        }
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for w in 0..self.ways {
-            if self.tags[base + w] == u64::MAX {
-                victim = w;
-                break;
-            }
-            if self.stamps[base + w] < oldest {
-                oldest = self.stamps[base + w];
-                victim = w;
-            }
-        }
-        self.tags[base + victim] = line;
-        self.stamps[base + victim] = self.tick;
-        false
-    }
-
-    /// Probes without updating state; returns `true` on hit.
-    pub fn probe(&self, addr: u64) -> bool {
-        let line = addr >> self.line_shift;
-        let set = (line as usize) & (self.sets - 1);
-        let base = set * self.ways;
-        self.tags[base..base + self.ways].iter().any(|&t| t == line)
-    }
-
-    /// Total accesses so far.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
-    }
-
-    /// Total misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Miss rate in `[0, 1]`; `0.0` before any access.
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
-
-    /// Clears the access/miss counters (contents are kept).
-    pub fn reset_counters(&mut self) {
-        self.accesses = 0;
-        self.misses = 0;
-    }
 }
 
-fn prev_power_of_two(v: usize) -> usize {
-    if v == 0 {
-        return 1;
-    }
-    let mut p = 1usize;
-    while p * 2 <= v {
-        p *= 2;
-    }
-    p
+/// Largest power of two `<= v` (1 for `v == 0`).
+pub(crate) fn prev_power_of_two(v: usize) -> usize {
+    1 << v.max(1).ilog2()
 }
 
 /// A translation lookaside buffer: a [`Cache`] over 4 KB page numbers.
@@ -210,16 +125,6 @@ impl Tlb {
     pub fn access(&mut self, addr: u64) -> bool {
         self.inner.access(addr / Self::PAGE_BYTES)
     }
-
-    /// Total misses so far.
-    pub fn misses(&self) -> u64 {
-        self.inner.misses()
-    }
-
-    /// Total accesses so far.
-    pub fn accesses(&self) -> u64 {
-        self.inner.accesses()
-    }
 }
 
 #[cfg(test)]
@@ -229,17 +134,25 @@ mod tests {
     #[test]
     fn geometry() {
         let c = Cache::new(64 * 1024, 4, 64);
-        assert_eq!(c.sets(), 256);
-        assert_eq!(c.ways(), 4);
+        assert_eq!((c.sets, c.ways), (256, 4));
         let c = Cache::new(1024, 2, 32);
-        assert_eq!(c.sets(), 16);
+        assert_eq!(c.sets, 16);
+    }
+
+    #[test]
+    fn power_of_two_round_down() {
+        let got: Vec<usize> = [0, 1, 2, 3, 4, 5, 2047, 2048, 2049]
+            .into_iter()
+            .map(prev_power_of_two)
+            .collect();
+        assert_eq!(got, [1, 1, 2, 2, 4, 4, 1024, 2048, 2048]);
     }
 
     #[test]
     fn lru_eviction_order() {
         // 2 ways, 1 set: 128-byte cache with 64-byte lines.
         let mut c = Cache::new(128, 2, 64);
-        assert_eq!(c.sets(), 1);
+        assert_eq!(c.sets, 1);
         assert!(!c.access(0x0000)); // A miss
         assert!(!c.access(0x4000)); // B miss
         assert!(c.access(0x0000)); // A hit (B is now LRU)
@@ -268,44 +181,11 @@ mod tests {
     }
 
     #[test]
-    fn probe_does_not_mutate() {
-        let mut c = Cache::new(1024, 2, 64);
-        assert!(!c.probe(0x40));
-        assert_eq!(c.accesses(), 0);
-        c.access(0x40);
-        assert!(c.probe(0x40));
-        assert_eq!(c.accesses(), 1);
-    }
-
-    #[test]
-    fn miss_rate_counter() {
-        let mut c = Cache::new(1024, 2, 64);
-        assert_eq!(c.miss_rate(), 0.0);
-        c.access(0);
-        c.access(0);
-        assert_eq!(c.miss_rate(), 0.5);
-        c.reset_counters();
-        assert_eq!(c.accesses(), 0);
-        assert!(c.access(0)); // contents survived the counter reset
-    }
-
-    #[test]
-    fn install_fills_without_counting() {
-        let mut c = Cache::new(1024, 2, 64);
-        assert!(!c.install(0x40));
-        assert_eq!(c.accesses(), 0);
-        assert_eq!(c.misses(), 0);
-        assert!(c.access(0x40), "prefetched line should hit");
-        assert!(c.install(0x40), "already resident");
-    }
-
-    #[test]
     fn tlb_pages() {
         let mut t = Tlb::new(4, 4);
         assert!(!t.access(0x0000));
         assert!(t.access(0x0FFF)); // same 4K page
         assert!(!t.access(0x1000)); // next page
-        assert_eq!(t.misses(), 2);
     }
 
     #[test]

@@ -20,16 +20,6 @@ impl Default for DvmConfig {
     }
 }
 
-/// Which branch direction predictor the front end uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum BranchPredictorKind {
-    /// gshare (global history XOR PC) — the Table 1 baseline.
-    #[default]
-    Gshare,
-    /// Per-PC 2-bit bimodal counters (ablation alternative).
-    Bimodal,
-}
-
 /// A simulated machine configuration.
 ///
 /// The nine fields up to `dl1_lat` are the paper's Table 2 design-space
@@ -60,11 +50,10 @@ pub struct MachineConfig {
     // --- Fixed Table 1 structures ---
     /// Main-memory access latency in cycles.
     pub mem_lat: u32,
-    /// Branch direction predictor flavour.
-    pub bp_kind: BranchPredictorKind,
     /// Direction-predictor table entries (power of two).
     pub bp_entries: u32,
-    /// gshare global-history bits.
+    /// gshare global-history bits; `0` makes the predictor bimodal
+    /// (per-PC counters only).
     pub bp_history_bits: u32,
     /// BTB entries.
     pub btb_entries: u32,
@@ -134,7 +123,6 @@ impl MachineConfig {
             dl1_kb: 64,
             dl1_lat: 1,
             mem_lat: 200,
-            bp_kind: BranchPredictorKind::Gshare,
             bp_entries: 2048,
             bp_history_bits: 10,
             btb_entries: 2048,

@@ -41,7 +41,6 @@ pub struct DtmState {
     engaged: bool,
     window_start_cycle: u64,
     window_instructions: u64,
-    engagements: u64,
     engaged_windows: u64,
 }
 
@@ -63,19 +62,8 @@ impl DtmState {
             engaged: false,
             window_start_cycle: 0,
             window_instructions: 0,
-            engagements: 0,
             engaged_windows: 0,
         }
-    }
-
-    /// `true` while the throttle response is active.
-    pub fn engaged(&self) -> bool {
-        self.engaged
-    }
-
-    /// Number of disengaged→engaged transitions.
-    pub fn engagements(&self) -> u64 {
-        self.engagements
     }
 
     /// Number of evaluation windows spent engaged.
@@ -101,13 +89,9 @@ impl DtmState {
         let elapsed = now_cycle.saturating_sub(self.window_start_cycle);
         if elapsed >= window_cycles {
             let ipc = self.window_instructions as f64 / elapsed.max(1) as f64;
-            let was = self.engaged;
             self.engaged = ipc > self.config.ipc_trigger;
             if self.engaged {
                 self.engaged_windows += 1;
-                if !was {
-                    self.engagements += 1;
-                }
             }
             self.window_start_cycle = now_cycle;
             self.window_instructions = 0;
@@ -129,14 +113,14 @@ mod tests {
         for i in 0..440u64 {
             dtm.on_commit(i / 4, 100);
         }
-        assert!(dtm.engaged());
-        assert_eq!(dtm.engagements(), 1);
+        assert!(dtm.engaged);
+        assert_eq!(dtm.engaged_windows(), 1);
         assert!((dtm.fetch_penalty_factor() - 2.0).abs() < 1e-12);
         // one instruction every 2 cycles past the next window: disengage.
         for i in 0..60u64 {
             dtm.on_commit(110 + i * 2, 100);
         }
-        assert!(!dtm.engaged());
+        assert!(!dtm.engaged);
         assert_eq!(dtm.fetch_penalty_factor(), 1.0);
     }
 
@@ -148,14 +132,21 @@ mod tests {
         });
         let mut cycle = 0u64;
         // Sustained two commits per cycle: IPC 2 > trigger 1 in every
-        // window, so the policy engages once and stays engaged.
+        // window, so the policy engages at the first evaluation and stays
+        // engaged through all twelve 50-cycle windows.
         for _ in 0..600u64 {
             dtm.on_commit(cycle, 50);
             cycle += 1;
             dtm.on_commit(cycle, 50);
+            if cycle >= 50 {
+                assert!(dtm.engaged, "disengaged at cycle {cycle}");
+            }
         }
-        assert!(dtm.engaged_windows() >= 3);
-        assert_eq!(dtm.engagements(), 1, "stayed engaged across hot windows");
+        assert_eq!(
+            dtm.engaged_windows(),
+            12,
+            "stayed engaged across hot windows"
+        );
     }
 
     #[test]

@@ -66,11 +66,6 @@ impl DvmState {
         }
     }
 
-    /// Current waiting-to-ready ratio limit.
-    pub fn wq_ratio(&self) -> f64 {
-        self.wq_ratio
-    }
-
     /// Number of times the trigger fired (AVF above threshold).
     pub fn triggers(&self) -> u64 {
         self.triggers
@@ -136,10 +131,10 @@ impl DvmState {
     /// compares the online IQ AVF over the elapsed window against the
     /// threshold and adapts `wq_ratio` (halve on trigger, increment
     /// otherwise).
-    pub fn periodic_update(&mut self, now_cycle: u64, cumulative_iq_ace: f64, iq_size: u32) {
+    pub fn periodic_update(&mut self, now_cycle: u64, cumulative_iq_ace: f64) {
         let dc = now_cycle.saturating_sub(self.last_cycle).max(1);
         let da = (cumulative_iq_ace - self.last_ace).max(0.0);
-        let online_avf = da / (f64::from(iq_size) * dc as f64);
+        let online_avf = da / (self.iq_capacity as f64 * dc as f64);
         if online_avf > self.config.threshold {
             self.wq_ratio = (self.wq_ratio / 2.0).max(0.125);
             self.triggers += 1;
@@ -191,15 +186,15 @@ mod tests {
     #[test]
     fn trigger_halves_ratio_and_counts() {
         let mut d = state();
-        let r0 = d.wq_ratio();
+        let r0 = d.wq_ratio;
         // Huge ACE growth over few cycles => AVF ~ 1 > threshold.
-        d.periodic_update(10, 80.0, 8);
-        assert!(d.wq_ratio() < r0);
+        d.periodic_update(10, 80.0);
+        assert!(d.wq_ratio < r0);
         assert_eq!(d.triggers(), 1);
         // Now no ACE growth => AVF 0 => ratio relaxes.
-        let r1 = d.wq_ratio();
-        d.periodic_update(20, 80.0, 8);
-        assert!(d.wq_ratio() > r1);
+        let r1 = d.wq_ratio;
+        d.periodic_update(20, 80.0);
+        assert!(d.wq_ratio > r1);
         assert_eq!(d.triggers(), 1);
     }
 
@@ -207,14 +202,14 @@ mod tests {
     fn ratio_bounds_hold() {
         let mut d = state();
         for i in 0..100 {
-            d.periodic_update(10 * (i + 1), 1e9 * (i + 1) as f64, 8);
+            d.periodic_update(10 * (i + 1), 1e9 * (i + 1) as f64);
         }
-        assert!(d.wq_ratio() >= 0.125);
+        assert!(d.wq_ratio >= 0.125);
         let mut d = state();
         for i in 0..100 {
-            d.periodic_update(10 * (i + 1), 0.0, 8);
+            d.periodic_update(10 * (i + 1), 0.0);
         }
-        assert!(d.wq_ratio() <= 64.0);
+        assert!(d.wq_ratio <= 64.0);
     }
 
     #[test]

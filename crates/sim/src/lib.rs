@@ -7,7 +7,8 @@
 //!
 //! * front-end bandwidth (fetch width) and instruction-cache / ITLB
 //!   behaviour, with fetch redirect stalls on branch mispredictions
-//!   (gshare + BTB front end, [`branch`]),
+//!   (a gshare direction predictor, bimodal at zero history bits, and a
+//!   BTB, [`branch`]),
 //! * ROB / issue-queue / load-store-queue occupancy limits,
 //! * register dependencies (true dataflow through dependency distances),
 //! * issue bandwidth, functional-unit pools and data-cache ports,
@@ -47,6 +48,6 @@ mod pipeline;
 mod resources;
 mod stats;
 
-pub use config::{BranchPredictorKind, DvmConfig, MachineConfig};
+pub use config::{DvmConfig, MachineConfig};
 pub use pipeline::{SimOptions, Simulator};
 pub use stats::{IntervalStats, RunResult};

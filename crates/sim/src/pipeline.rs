@@ -1,8 +1,7 @@
 //! The one-pass out-of-order timing model.
 
-use crate::branch::{Bimodal, Btb, Gshare};
+use crate::branch::{Btb, Gshare};
 use crate::cache::{Cache, Tlb};
-use crate::config::BranchPredictorKind;
 use crate::config::MachineConfig;
 use crate::dtm::DtmState;
 use crate::dvm::DvmState;
@@ -38,15 +37,6 @@ pub struct SimOptions {
     pub seed: u64,
 }
 
-impl SimOptions {
-    /// Instructions executed before sampling starts, to warm caches,
-    /// predictors and queues (the SimPoint fast-forward analogue). The
-    /// default is 0: the paper's dynamics traces include whatever state
-    /// the interval starts with, and the predictive models see the same
-    /// cold-start at every configuration.
-    pub const DEFAULT_WARMUP: u64 = 0;
-}
-
 impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
@@ -71,12 +61,11 @@ impl Simulator {
         Simulator { config }
     }
 
-    /// The machine configuration.
-    pub fn config(&self) -> &MachineConfig {
-        &self.config
-    }
-
-    /// Runs `benchmark` and returns per-interval statistics.
+    /// Runs `benchmark` from a cold machine and returns per-interval
+    /// statistics: [`Simulator::run_with_warmup`] with no warm-up. The
+    /// paper's dynamics traces include whatever state the interval starts
+    /// with, and the predictive models see the same cold start at every
+    /// configuration.
     ///
     /// The workload trace is a pure function of `(benchmark,
     /// opts.samples * opts.interval_instructions, opts.seed)`, so two runs
@@ -86,20 +75,14 @@ impl Simulator {
     ///
     /// Panics if `opts.samples == 0` or `opts.interval_instructions == 0`.
     pub fn run(&self, benchmark: Benchmark, opts: &SimOptions) -> RunResult {
-        assert!(opts.samples > 0, "need at least one sample interval");
-        assert!(
-            opts.interval_instructions > 0,
-            "need a positive interval length"
-        );
-        let total = opts.samples as u64 * opts.interval_instructions;
-        let trace = TraceGenerator::new(benchmark, total, opts.seed);
-        self.run_trace(trace, opts)
+        self.run_with_warmup(benchmark, opts, 0)
     }
 
-    /// As [`Simulator::run`], but executes `warmup_instructions` first
-    /// (warming caches, predictors and queues) and discards their
-    /// statistics. The sampled region covers the instructions *after* the
-    /// warm-up, so two configurations still observe the same code.
+    /// Executes `warmup_instructions` first (warming caches, predictors
+    /// and queues, the SimPoint fast-forward analogue) and discards their
+    /// statistics, then samples as [`Simulator::run`]. The sampled region
+    /// covers the instructions *after* the warm-up, so two configurations
+    /// still observe the same code.
     ///
     /// # Panics
     ///
@@ -117,24 +100,22 @@ impl Simulator {
         );
         let total = warmup_instructions + opts.samples as u64 * opts.interval_instructions;
         let mut trace = TraceGenerator::new(benchmark, total, opts.seed);
-        if warmup_instructions == 0 {
-            return self.run_trace(trace, opts);
-        }
-        // Run the warm-up through a throwaway engine pass by splitting the
-        // generator: consume the prefix through the same engine, then keep
-        // sampling. run_trace cannot express "discard prefix", so inline.
-        let c = &self.config;
-        let mut engine = Engine::new(c);
+        let mut engine = Engine::new(&self.config);
         let mut scratch = IntervalStats::default();
         // The generator produces warmup + samples * interval instructions,
         // so this prefix always exists; take() makes that panic-free.
         for instr in trace.by_ref().take(warmup_instructions as usize) {
             engine.step(&instr, &mut scratch);
         }
+        // Close the warm-up as a discarded interval, so its DVM stalls and
+        // DTM windows are not reported in the first sampled interval.
+        engine.close_interval(&mut scratch, &mut 0);
         self.run_trace_on_engine(engine, trace, opts)
     }
 
     /// Runs an explicit instruction stream (custom workloads / tests).
+    /// A trailing partial interval (stream length not a multiple of
+    /// `opts.interval_instructions`) is recorded too.
     pub fn run_trace<I>(&self, trace: I, opts: &SimOptions) -> RunResult
     where
         I: IntoIterator<Item = Instruction>,
@@ -150,11 +131,9 @@ impl Simulator {
         I: IntoIterator<Item = Instruction>,
     {
         let _span = dynawave_obs::span("sim.run_trace");
-        let c = &self.config;
         let mut intervals = Vec::with_capacity(opts.samples);
         let mut current = IntervalStats::default();
-        let mut in_interval = 0u64;
-        let mut interval_start_cycle = engine.last_commit;
+        let mut interval_start = engine.last_commit;
         // DVM trigger evaluation period: sample_interval / 5, in committed
         // instructions (a cycle-domain proxy with bounded skew).
         let dvm_period = (opts.interval_instructions / 5).max(1);
@@ -162,46 +141,23 @@ impl Simulator {
 
         for instr in trace {
             engine.step(&instr, &mut current);
-            in_interval += 1;
+            current.instructions += 1;
             since_dvm_update += 1;
 
-            if engine.dvm.is_some() && since_dvm_update >= dvm_period {
+            if since_dvm_update >= dvm_period {
                 since_dvm_update = 0;
-                let now = engine.last_commit;
-                let ace = engine.cumulative_iq_ace;
                 if let Some(dvm) = engine.dvm.as_mut() {
-                    dvm.periodic_update(now, ace, c.iq_size);
+                    dvm.periodic_update(engine.last_commit, engine.cumulative_iq_ace);
                 }
             }
 
-            if in_interval >= opts.interval_instructions {
-                current.instructions = in_interval;
-                current.cycles = engine
-                    .last_commit
-                    .saturating_sub(interval_start_cycle)
-                    .max(1);
-                if let Some(dvm) = engine.dvm.as_ref() {
-                    current.dvm_triggers = dvm.triggers() - engine.reported_triggers;
-                    engine.reported_triggers = dvm.triggers();
-                    current.dvm_stall_cycles = dvm.stall_cycles() - engine.reported_stalls;
-                    engine.reported_stalls = dvm.stall_cycles();
-                }
-                if let Some(dtm) = engine.dtm.as_ref() {
-                    current.dtm_engaged_windows = dtm.engaged_windows() - engine.reported_engaged;
-                    engine.reported_engaged = dtm.engaged_windows();
-                }
-                interval_start_cycle = engine.last_commit;
+            if current.instructions >= opts.interval_instructions {
+                engine.close_interval(&mut current, &mut interval_start);
                 intervals.push(std::mem::take(&mut current));
-                in_interval = 0;
             }
         }
-        // A trailing partial interval (trace not divisible) is recorded too.
-        if in_interval > 0 {
-            current.instructions = in_interval;
-            current.cycles = engine
-                .last_commit
-                .saturating_sub(interval_start_cycle)
-                .max(1);
+        if current.instructions > 0 {
+            engine.close_interval(&mut current, &mut interval_start);
             intervals.push(current);
         }
         if dynawave_obs::is_enabled() {
@@ -221,9 +177,7 @@ struct Engine {
     // Front end.
     il1: Cache,
     itlb: Tlb,
-    gshare: Gshare,
-    bimodal: Bimodal,
-    bp_kind: BranchPredictorKind,
+    predictor: Gshare,
     btb: Btb,
     fetch_pool: ServerPool,
     fetch_ready: u64,
@@ -278,9 +232,7 @@ impl Engine {
         Engine {
             il1: Cache::new(u64::from(c.il1_kb) * 1024, c.il1_ways, c.il1_line),
             itlb: Tlb::new(c.itlb_entries, c.tlb_ways),
-            gshare: Gshare::new(c.bp_entries, c.bp_history_bits),
-            bimodal: Bimodal::new(c.bp_entries),
-            bp_kind: c.bp_kind,
+            predictor: Gshare::new(c.bp_entries, c.bp_history_bits),
             btb: Btb::new(c.btb_entries, c.btb_ways),
             fetch_pool: ServerPool::new(c.fetch_width),
             fetch_ready: 0,
@@ -324,6 +276,24 @@ impl Engine {
         }
     }
 
+    /// Seals `stats` as the interval that began at cycle `*start`: stamps
+    /// its cycle count and the DVM/DTM activity since the previous close,
+    /// and starts the next interval at the current commit cycle.
+    fn close_interval(&mut self, stats: &mut IntervalStats, start: &mut u64) {
+        stats.cycles = self.last_commit.saturating_sub(*start).max(1);
+        *start = self.last_commit;
+        if let Some(dvm) = &self.dvm {
+            stats.dvm_triggers = dvm.triggers() - self.reported_triggers;
+            self.reported_triggers = dvm.triggers();
+            stats.dvm_stall_cycles = dvm.stall_cycles() - self.reported_stalls;
+            self.reported_stalls = dvm.stall_cycles();
+        }
+        if let Some(dtm) = &self.dtm {
+            stats.dtm_engaged_windows = dtm.engaged_windows() - self.reported_engaged;
+            self.reported_engaged = dtm.engaged_windows();
+        }
+    }
+
     /// Times one instruction and accumulates interval statistics.
     fn step(&mut self, instr: &Instruction, stats: &mut IntervalStats) {
         // ---- Fetch ----
@@ -349,8 +319,8 @@ impl Engine {
                     // Next-line prefetch: fill the sequential successor
                     // off the critical path.
                     let next = instr.pc + self.il1_line_bytes;
-                    self.l2.install(next);
-                    if !self.il1.install(next) {
+                    self.l2.access(next);
+                    if !self.il1.access(next) {
                         stats.prefetch_fills += 1;
                     }
                 }
@@ -459,8 +429,8 @@ impl Engine {
                             }
                             if self.prefetch {
                                 let next = instr.addr + self.dl1_line_bytes;
-                                self.l2.install(next);
-                                if !self.dl1.install(next) {
+                                self.l2.access(next);
+                                if !self.dl1.access(next) {
                                     stats.prefetch_fills += 1;
                                 }
                             }
@@ -473,22 +443,12 @@ impl Engine {
         // ---- Branch resolution ----
         if instr.is_branch() {
             stats.branches += 1;
-            let correct = match self.bp_kind {
-                BranchPredictorKind::Gshare => {
-                    self.gshare.predict_and_update(instr.pc, instr.taken)
-                }
-                BranchPredictorKind::Bimodal => {
-                    self.bimodal.predict_and_update(instr.pc, instr.taken)
-                }
-            };
-            if !correct {
+            if !self.predictor.predict_and_update(instr.pc, instr.taken) {
                 stats.mispredicts += 1;
                 self.fetch_ready = self.fetch_ready.max(complete + self.mispredict_extra);
             } else if instr.taken && !self.btb.access(instr.pc) {
                 stats.btb_misses += 1;
                 self.fetch_ready = self.fetch_ready.max(fetch + BTB_MISS_BUBBLE);
-            } else if instr.taken {
-                // Correctly predicted taken branch: BTB provided the target.
             }
         }
 
@@ -694,10 +654,28 @@ mod tests {
             warm.intervals[0].il1_misses,
             cold.intervals[0].il1_misses
         );
-        // Zero warm-up is exactly the plain run.
-        let same =
-            Simulator::new(MachineConfig::baseline()).run_with_warmup(Benchmark::Eon, &opts, 0);
-        assert_eq!(same.cpi_trace(), cold.cpi_trace());
+    }
+
+    #[test]
+    fn warmup_discards_policy_activity() {
+        // crafty engages a low DTM trigger all through a long warm-up;
+        // none of those windows may surface in the sampled intervals,
+        // each of which spans at most cycles / 256 + 1 evaluation windows.
+        let cfg = MachineConfig::baseline().with_dtm(crate::dtm::DtmConfig {
+            ipc_trigger: 0.2,
+            throttle_factor: 0.5,
+        });
+        let r = Simulator::new(cfg).run_with_warmup(Benchmark::Crafty, &quick_opts(), 20_000);
+        assert!(r.intervals.iter().any(|i| i.dtm_engaged_windows > 0));
+        for (k, i) in r.intervals.iter().enumerate() {
+            let windows = i.cycles / DTM_WINDOW_CYCLES + 1;
+            assert!(
+                i.dtm_engaged_windows <= windows,
+                "interval {k}: {} engaged windows in {} cycles",
+                i.dtm_engaged_windows,
+                i.cycles
+            );
+        }
     }
 
     #[test]
@@ -764,12 +742,13 @@ mod tests {
 
     #[test]
     fn predictor_kind_changes_front_end_behaviour() {
-        // The two predictors must produce genuinely different accuracy on
-        // a branchy workload. (On these synthetic outcome streams bimodal
-        // can beat gshare: per-site behaviour is strong while the global
-        // history is polluted across hundreds of interleaved sites.)
+        // gshare and its zero-history (bimodal) form must produce genuinely
+        // different accuracy on a branchy workload. (On these synthetic
+        // outcome streams bimodal can beat gshare: per-site behaviour is
+        // strong while the global history is polluted across hundreds of
+        // interleaved sites.)
         let mut bimodal_cfg = MachineConfig::baseline();
-        bimodal_cfg.bp_kind = crate::BranchPredictorKind::Bimodal;
+        bimodal_cfg.bp_history_bits = 0;
         let g = run(Benchmark::Gcc, MachineConfig::baseline());
         let b = run(Benchmark::Gcc, bimodal_cfg);
         let mis = |r: &RunResult| r.intervals.iter().map(|i| i.mispredicts).sum::<u64>();
@@ -824,6 +803,72 @@ mod tests {
         assert_eq!(r.intervals.len(), 4);
         assert_eq!(r.intervals[3].instructions, 127);
         assert_eq!(r.total_instructions(), 4 * 128 - 1);
+    }
+
+    /// Sums the fields the trailing-partial tests compare.
+    fn totals(r: &RunResult) -> [u64; 5] {
+        r.intervals.iter().fold([0; 5], |t, i| {
+            [
+                t[0] + i.instructions,
+                t[1] + i.cycles,
+                t[2] + i.dtm_engaged_windows,
+                t[3] + i.dvm_stall_cycles,
+                t[4] + i.dvm_triggers,
+            ]
+        })
+    }
+
+    #[test]
+    fn trailing_partial_interval_keeps_dtm_accounting() {
+        // 2900 instructions as one interval, or as two full intervals and
+        // a 900-instruction tail: DTM windows are cycle-based, so the
+        // totals must not depend on where the sampling cuts fall.
+        let cfg = MachineConfig::baseline().with_dtm(crate::dtm::DtmConfig {
+            ipc_trigger: 0.2,
+            throttle_factor: 0.5,
+        });
+        let sim = Simulator::new(cfg);
+        let run_at = |interval_instructions| {
+            let opts = SimOptions {
+                samples: 1,
+                interval_instructions,
+                seed: 42,
+            };
+            sim.run_trace(TraceGenerator::new(Benchmark::Crafty, 2900, 42), &opts)
+        };
+        let (cut, whole) = (run_at(1000), run_at(2900));
+        assert_eq!(cut.intervals.len(), 3);
+        assert_eq!(cut.intervals[2].instructions, 900);
+        assert!(totals(&whole)[2] > 0, "DTM never engaged");
+        assert_eq!(totals(&cut)[..3], totals(&whole)[..3]);
+    }
+
+    #[test]
+    fn trailing_partial_interval_keeps_dvm_accounting() {
+        // Intervals of 1450 and 1454 share the DVM evaluation period
+        // (interval / 5 = 290), so the policy runs identically; only the
+        // second leaves a 1446-instruction tail that must still report
+        // its stall cycles and triggers.
+        let cfg = MachineConfig::baseline().with_dvm(crate::DvmConfig {
+            threshold: 0.1,
+            initial_wq_ratio: 1.0,
+        });
+        let sim = Simulator::new(cfg);
+        let run_at = |interval_instructions| {
+            let opts = SimOptions {
+                samples: 2,
+                interval_instructions,
+                seed: 42,
+            };
+            sim.run_trace(TraceGenerator::new(Benchmark::Mcf, 2900, 42), &opts)
+        };
+        let (exact, tailed) = (run_at(1450), run_at(1454));
+        assert_eq!(tailed.intervals[1].instructions, 1446);
+        assert!(
+            tailed.intervals[1].dvm_stall_cycles > 0,
+            "tail lost DVM stalls"
+        );
+        assert_eq!(totals(&exact), totals(&tailed));
     }
 
     #[test]

@@ -38,12 +38,6 @@ impl ServerPool {
         self.free_at[best] = start + busy.max(1);
         start
     }
-
-    /// Earliest cycle any server becomes free.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn next_free(&self) -> u64 {
-        self.free_at.iter().copied().min().unwrap_or(0)
-    }
 }
 
 /// A FIFO occupancy ring for capacity-limited structures (ROB, IQ, LSQ).
@@ -83,18 +77,6 @@ impl OccupancyRing {
         let idx = (self.count % self.free_cycles.len() as u64) as usize;
         self.free_cycles[idx] = free_cycle;
         self.count += 1;
-    }
-
-    /// Structure capacity.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn capacity(&self) -> usize {
-        self.free_cycles.len()
-    }
-
-    /// Items allocated so far.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn allocated(&self) -> u64 {
-        self.count
     }
 }
 
@@ -167,7 +149,7 @@ mod tests {
         let mut p = ServerPool::new(1);
         assert_eq!(p.allocate(0, 5), 0);
         assert_eq!(p.allocate(0, 1), 5);
-        assert_eq!(p.next_free(), 6);
+        assert_eq!(p.allocate(0, 1), 6);
     }
 
     #[test]
@@ -180,8 +162,7 @@ mod tests {
         assert_eq!(r.earliest_slot(), 100);
         r.push(120);
         assert_eq!(r.earliest_slot(), 50);
-        assert_eq!(r.allocated(), 3);
-        assert_eq!(r.capacity(), 2);
+        assert_eq!((r.count, r.free_cycles.len()), (3, 2));
     }
 
     #[test]

@@ -122,38 +122,6 @@ impl IntervalStats {
             self.cycles as f64 / self.instructions as f64
         }
     }
-
-    /// Instructions per cycle for the interval.
-    pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.instructions as f64 / self.cycles as f64
-        }
-    }
-
-    /// L1D miss rate in `[0, 1]`.
-    pub fn dl1_miss_rate(&self) -> f64 {
-        ratio(self.dl1_misses, self.dl1_accesses)
-    }
-
-    /// L2 miss rate in `[0, 1]`.
-    pub fn l2_miss_rate(&self) -> f64 {
-        ratio(self.l2_misses, self.l2_accesses)
-    }
-
-    /// Branch misprediction rate in `[0, 1]`.
-    pub fn mispredict_rate(&self) -> f64 {
-        ratio(self.mispredicts, self.branches)
-    }
-}
-
-fn ratio(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        num as f64 / den as f64
-    }
 }
 
 /// The outcome of one simulation run: the configuration, the per-interval
@@ -239,16 +207,18 @@ mod tests {
             ..IntervalStats::default()
         };
         assert!((s.cpi() - 2.5).abs() < 1e-12);
-        assert!((s.ipc() - 0.4).abs() < 1e-12);
+        assert!((1.0 / s.cpi() - 0.4).abs() < 1e-12);
     }
 
     #[test]
     fn zero_division_guards() {
         let s = IntervalStats::default();
         assert_eq!(s.cpi(), 0.0);
-        assert_eq!(s.ipc(), 0.0);
-        assert_eq!(s.dl1_miss_rate(), 0.0);
-        assert_eq!(s.mispredict_rate(), 0.0);
+        let r = RunResult {
+            config: MachineConfig::baseline(),
+            intervals: Vec::new(),
+        };
+        assert_eq!(r.aggregate_cpi(), 0.0);
     }
 
     #[test]

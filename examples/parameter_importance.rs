@@ -12,7 +12,7 @@
 //! ```
 
 use dynawave_core::importance::{split_frequency_star, split_order_star};
-use dynawave_core::{collect_domain_traces, PredictorParams, WaveletNeuralPredictor};
+use dynawave_core::{collect_metric_traces, Metric, PredictorParams, WaveletNeuralPredictor};
 use dynawave_sampling::DesignSpace;
 use dynawave_sim::SimOptions;
 use dynawave_workloads::Benchmark;
@@ -31,7 +31,7 @@ fn main() {
     };
     println!("simulating {bench} over a 60-point LHS design ...");
     let train_points = dynawave_sampling::lhs::sample(&space, 60, 5);
-    let sets = collect_domain_traces(bench, &train_points, &opts);
+    let sets = collect_metric_traces(bench, &train_points, &Metric::DOMAINS, &opts);
     for set in sets {
         let metric = set.metric;
         let model = WaveletNeuralPredictor::train(&set, &PredictorParams::default())

@@ -2,7 +2,7 @@
 //! through the `dynawave-core` dataset layer.
 
 use dynawave_avf::{AvfModel, Structure};
-use dynawave_core::{collect_domain_traces, collect_metric_traces, trace_for, Metric};
+use dynawave_core::{collect_metric_traces, trace_for, Metric};
 use dynawave_power::PowerModel;
 use dynawave_sampling::{lhs, random, DesignPoint, DesignSpace, Split};
 use dynawave_sim::{MachineConfig, SimOptions, Simulator};
@@ -23,7 +23,10 @@ fn baseline_point() -> DesignPoint {
 #[test]
 fn domain_traces_consistent_with_individual_collection() {
     let points = vec![baseline_point()];
-    let [cpi, power, avf] = collect_domain_traces(Benchmark::Parser, &points, &opts());
+    let [cpi, power, avf]: [_; 3] =
+        collect_metric_traces(Benchmark::Parser, &points, &Metric::DOMAINS, &opts())
+            .try_into()
+            .expect("one set per domain");
     assert_eq!(
         cpi.traces[0],
         trace_for(Benchmark::Parser, &points[0], Metric::Cpi, &opts())
